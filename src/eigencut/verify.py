@@ -96,6 +96,8 @@ def _generate(d: int, n_max: int, mode: str, samples: int | None, seed: int | No
     elif mode == "random":
         if samples is None or seed is None:
             raise ValueError("random mode needs samples and seed")
+        if samples < 0:
+            raise ValueError("samples must be non-negative")
         orders = [n for n in range(d + 1, n_max + 1) if n * d % 2 == 0]
         if not orders:
             raise ValueError("no admissible order at or below n_max")

@@ -8,7 +8,7 @@ backtracking enumerator over the adjacency upper triangle.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -178,3 +178,29 @@ def brute_enumerate_connected_regular(n, d):
             bucket.append(edges)
             reps.append(edges)
     return reps
+
+
+def column_codes(n, edges):
+    """Column-major code of every relabelling, keyed by the vertex order.
+
+    ``order[p]`` is the vertex placed at position ``p``.  The code reads the
+    relabelled upper triangle column by column (column ``j`` holds the
+    adjacencies to positions ``0..j-1``), the first bit read most
+    significant.  The identity order comes first.
+    """
+    adj = adj_sets(n, edges)
+    codes = {}
+    for order in permutations(range(n)):
+        code = 0
+        for j in range(1, n):
+            for i in range(j):
+                code = (code << 1) | (order[i] in adj[order[j]])
+        codes[order] = code
+    return codes
+
+
+def max_column_code(n, edges):
+    """Maximum column-major code over all n! relabellings, with an order attaining it."""
+    codes = column_codes(n, edges)
+    order = max(codes, key=codes.get)
+    return codes[order], order

@@ -132,6 +132,15 @@ class TestVerify:
             outputs.append((out, csv_path.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_negative_samples_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--d", "3", "--n-max", "10",
+            "--mode", "random", "--samples", "-5", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: samples must be non-negative\n"
+
     def test_random_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--d", "5", "--n-max", "16", "--mode", "random"])

@@ -1,5 +1,8 @@
 """Exhaustive enumerator (vs brute-force oracle) and the pairing sampler."""
 
+import hashlib
+import random
+
 import pytest
 
 import oracles
@@ -12,6 +15,14 @@ from eigencut import (
     random_connected_regular,
     to_graph6,
 )
+from eigencut.enumeration import _beats_identity
+
+
+def _edges_of_code(n, code):
+    """The labelled graph whose column-major code is ``code``."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    top = len(pairs) - 1
+    return [e for k, e in enumerate(pairs) if (code >> (top - k)) & 1]
 
 
 class TestEnumerate:
@@ -26,6 +37,8 @@ class TestEnumerate:
             list(enumerate_connected_regular(5, 3))
         with pytest.raises(ValueError):
             list(enumerate_connected_regular(3, 3))
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            list(enumerate_connected_regular(4, -2))
 
     def test_cycles_and_tiny_degrees(self):
         for n in range(3, 9):
@@ -62,6 +75,43 @@ class TestEnumerate:
         assert first == second
         assert len(first) == 19
 
+    def test_stream_digests_pinned(self):
+        # CSV byte-identity rests on the canonical labelling, so any change
+        # to the emitted labelled graphs must show here.
+        for n, d, count, digest in [
+            (12, 3, 85, "b27808d206fb74dbad61f0779dc35088fbacbec680e03104c7eea056eff05bdc"),
+            (10, 4, 59, "3b543b832ca643d4ce4ac2e2dffedbb2b2ff3da8976b16d467b3e1af57c99c43"),
+        ]:
+            stream = [to_graph6(g) for g in enumerate_connected_regular(n, d)]
+            assert len(stream) == count
+            assert hashlib.sha256("\n".join(stream).encode()).hexdigest() == digest
+
+    def test_canonicity_matches_max_code_oracle(self):
+        # Every labelled graph on <= 6 vertices, by code.  Relabellings
+        # share a maximum, so the oracle runs once per isomorphism class.
+        for n in range(1, 7):
+            best = {}
+            for code in range(1 << (n * (n - 1) // 2)):
+                edges = _edges_of_code(n, code)
+                if code not in best:
+                    codes = oracles.column_codes(n, edges)
+                    assert codes[tuple(range(n))] == code
+                    best.update(dict.fromkeys(codes.values(), max(codes.values())))
+                rows = graph_from_edges(n, edges).rows
+                assert _beats_identity(rows, n - 1) == (code < best[code])
+        # A seeded sample on 7 vertices, each with its max-code relabelling,
+        # which no relabelling beats.
+        rng = random.Random(7)
+        for _ in range(12):
+            density = rng.random()
+            code = sum(1 << k for k in range(21) if rng.random() < density)
+            edges = _edges_of_code(7, code)
+            top, order = oracles.max_column_code(7, edges)
+            assert _beats_identity(graph_from_edges(7, edges).rows, 6) == (code < top)
+            pos = {v: p for p, v in enumerate(order)}
+            canon = graph_from_edges(7, [(pos[u], pos[v]) for u, v in edges])
+            assert not _beats_identity(canon.rows, 6)
+
     def test_graph6_round_trip_over_streams(self):
         from eigencut import from_graph6
 
@@ -96,3 +146,5 @@ class TestRandomRegular:
             random_connected_regular(5, 3, seed=0)
         with pytest.raises(ValueError):
             random_connected_regular(3, 4, seed=0)
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            random_connected_regular(4, -2, seed=0)
