@@ -3,15 +3,13 @@
 Subcommands: ``build``, ``spectrum``, ``threshold``, ``verify``,
 ``compare-bounds``.  Exit codes: 0 success, 1 verification failure,
 2 usage or input error.  Numbers print with 10 significant digits so
-repeated runs are byte-identical; the optional THREADS environment
-variable sets the verify worker count (output is identical either way).
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import extremal, verify
@@ -71,27 +69,29 @@ def _parse_range(text: str) -> list[int]:
 
 def _cmd_threshold(args) -> int:
     ds = _parse_range(args.d_range) if args.d_range else [args.d]
-    sys.stdout.write("d\tc_star\tthreshold\tpolynomial\n")
+    if not ds:
+        raise ValueError(f"empty degree range {args.d_range!r}")
+    # every row is computed before the header, so bad input writes nothing
+    lines = ["d\tc_star\tthreshold\tpolynomial\n"]
     for d in ds:
         thr = extremal.threshold(d)
         coeffs = " ".join(_fmt(c) for c in thr.poly.coeffs)
-        sys.stdout.write(f"{d}\t{thr.c_star}\t{_fmt(thr.value)}\t{coeffs}\n")
+        lines.append(f"{d}\t{thr.c_star}\t{_fmt(thr.value)}\t{coeffs}\n")
         if args.verbose:
             chain = extremal.monotonicity_chain(d)
             for c, val in chain:
-                sys.stdout.write(f"# d={d} c={c} lambda2={_fmt(val)}\n")
+                lines.append(f"# d={d} c={c} lambda2={_fmt(val)}\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    workers = int(os.environ.get("THREADS", "1"))
     report, records = verify.verify_theorem(
         args.d,
         args.n_max,
         mode=args.mode,
         samples=args.samples,
         seed=args.seed,
-        workers=max(1, workers),
     )
     if args.csv:
         with open(args.csv, "w") as fh:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .enumeration import enumerate_connected_regular, random_connected_regular
@@ -88,19 +87,17 @@ def cut_branch_values(g: Graph, d: int) -> tuple[tuple[int, int], ...]:
 
 
 def _generate(d: int, n_max: int, mode: str, samples: int | None, seed: int | None):
+    orders = [n for n in range(d + 1, n_max + 1) if n * d % 2 == 0]
+    if not orders:
+        raise ValueError("no admissible order at or below n_max")
     if mode == "exhaustive":
-        for n in range(d + 1, n_max + 1):
-            if n * d % 2:
-                continue
+        for n in orders:
             yield from enumerate_connected_regular(n, d)
     elif mode == "random":
         if samples is None or seed is None:
             raise ValueError("random mode needs samples and seed")
-        if samples < 0:
-            raise ValueError("samples must be non-negative")
-        orders = [n for n in range(d + 1, n_max + 1) if n * d % 2 == 0]
-        if not orders:
-            raise ValueError("no admissible order at or below n_max")
+        if samples < 1:
+            raise ValueError("samples must be positive")
         rng = random.Random(seed)
         for _ in range(samples):
             n = rng.choice(orders)
@@ -128,23 +125,15 @@ def _records_for(
     mode: str = "exhaustive",
     samples: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
 ) -> list[VerificationRecord]:
     if d < 3:
         raise ValueError("degree must be at least 3")
     thr = threshold(d)
-    graphs = list(_generate(d, n_max, mode, samples, seed))
-    if workers <= 1:
-        records = [_examine(g, d, thr.value, thr.extremal_graph) for g in graphs]
-    else:
-        shards = [graphs[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda shard: [_examine(g, d, thr.value, thr.extremal_graph) for g in shard],
-                shards,
-            )
-            records = [rec for part in parts for rec in part]
-    # deterministic report order regardless of worker count
+    records = [
+        _examine(g, d, thr.value, thr.extremal_graph)
+        for g in _generate(d, n_max, mode, samples, seed)
+    ]
+    # the CSV contract lists records in graph6-lexicographic order
     records.sort(key=lambda r: r.graph6)
     return records
 
@@ -155,7 +144,6 @@ def verify_cut_lemmas(
     mode: str = "exhaustive",
     samples: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
 ) -> list[VerificationRecord]:
     """Check the per-branch-degree bound for every generated graph.
 
@@ -164,7 +152,7 @@ def verify_cut_lemmas(
     lambda2(G) must be at least that root (up to 1e-8).  Raises
     VerificationError on any violation; returns the records.
     """
-    records = _records_for(d, n_max, mode, samples, seed, workers)
+    records = _records_for(d, n_max, mode, samples, seed)
     for rec in records:
         for _, c in rec.witnesses:
             bound = lambda2_value(d, c)
@@ -182,7 +170,6 @@ def verify_theorem(
     mode: str = "exhaustive",
     samples: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
 ) -> tuple[TheoremReport, list[VerificationRecord]]:
     """Sweep generated graphs against the sharp threshold.
 
@@ -190,7 +177,7 @@ def verify_theorem(
     an equality case not isomorphic to the extremal graph (equality is only
     asserted in exhaustive mode).
     """
-    records = _records_for(d, n_max, mode, samples, seed, workers)
+    records = _records_for(d, n_max, mode, samples, seed)
     equality = []
     counterexamples = []
     cut_graphs = 0

@@ -100,8 +100,14 @@ class TestThreshold:
         assert len(chain_lines) == 3  # c = 1, 2, 3
 
     def test_small_degree_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "threshold", "--d", "2")
-        assert code == 2 and "error" in err
+        for argv in (["--d", "2"], ["--d-range", "2..4"]):
+            code, out, err = run_cli(capsys, "threshold", *argv)
+            assert code == 2 and out == "" and "error" in err
+
+    def test_empty_range_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "threshold", "--d-range", "8..3")
+        assert code == 2 and out == ""
+        assert err == "error: empty degree range '8..3'\n"
 
 
 class TestVerify:
@@ -133,13 +139,19 @@ class TestVerify:
         assert outputs[0] == outputs[1]
 
     def test_negative_samples_rejected(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "verify", "--d", "3", "--n-max", "10",
-            "--mode", "random", "--samples", "-5", "--seed", "1",
-        )
+        for samples in ("-5", "0"):
+            code, out, err = run_cli(
+                capsys,
+                "verify", "--d", "3", "--n-max", "10",
+                "--mode", "random", "--samples", samples, "--seed", "1",
+            )
+            assert code == 2 and out == ""
+            assert err == "error: samples must be positive\n"
+
+    def test_no_admissible_order_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--d", "4", "--n-max", "4")
         assert code == 2 and out == ""
-        assert err == "error: samples must be non-negative\n"
+        assert err == "error: no admissible order at or below n_max\n"
 
     def test_random_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
