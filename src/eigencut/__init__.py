@@ -77,7 +77,6 @@ from .verify import (
     edge_expansion,
     prior_bounds,
     records_to_csv,
-    verify_cut_lemmas,
     verify_theorem,
 )
 

@@ -9,6 +9,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -86,15 +87,16 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report, records = verify.verify_theorem(
-        args.d,
-        args.n_max,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    if args.csv:
-        with open(args.csv, "w") as fh:
+    # open the CSV before the sweep, so an unwritable path fails at once
+    with open(args.csv, "w") if args.csv else contextlib.nullcontext() as fh:
+        report, records = verify.verify_theorem(
+            args.d,
+            args.n_max,
+            mode=args.mode,
+            samples=args.samples,
+            seed=args.seed,
+        )
+        if args.csv:
             fh.write(verify.records_to_csv(records))
     sys.stdout.write(report.to_json() + "\n")
     return 0 if report.passed else 1

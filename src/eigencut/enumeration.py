@@ -71,18 +71,23 @@ def _beats_identity(rows, t) -> bool:
     return beats(0, (1 << (t + 1)) - 1)
 
 
-def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
-    """Yield one representative per isomorphism class of connected d-regular graphs.
-
-    Requires ``n*d`` even and ``n >= d+1``; the stream order is deterministic
-    (each graph is emitted in its canonical labelling).
-    """
+def _check_order(n: int, d: int) -> None:
+    """Raise ValueError unless some d-regular graph has n vertices."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     if n * d % 2:
         raise ValueError("n*d must be even (degree sum parity)")
     if n < d + 1:
         raise ValueError("a d-regular graph needs at least d+1 vertices")
+
+
+def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
+    """Yield one representative per isomorphism class of connected d-regular graphs.
+
+    Requires ``n*d`` even and ``n >= d+1``; the stream order is deterministic
+    (each graph is emitted in its canonical labelling).
+    """
+    _check_order(n, d)
     if n == 1:
         yield Graph(1, (0,))
         return
@@ -146,12 +151,7 @@ def random_connected_regular(n: int, d: int, seed: int) -> Graph:
     edges, or a disconnected result are rejected and retried.  Deterministic
     for a fixed seed; raises RuntimeError if the rejection budget runs out.
     """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    if n * d % 2:
-        raise ValueError("n*d must be even (degree sum parity)")
-    if n < d + 1:
-        raise ValueError("a d-regular graph needs at least d+1 vertices")
+    _check_order(n, d)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(REJECTION_BUDGET):

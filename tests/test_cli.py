@@ -153,6 +153,36 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: no admissible order at or below n_max\n"
 
+    def test_samples_rejected_in_exhaustive_mode(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--d", "3", "--n-max", "10", "--samples", "5", "--seed", "1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: samples and seed apply only to random mode\n"
+
+    def test_small_degree_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--d", "2", "--n-max", "10")
+        assert code == 2 and out == ""
+        assert err == "error: degree must be at least 3\n"
+
+    def test_unwritable_csv_fails_before_sweep(self, capsys, tmp_path, monkeypatch):
+        import eigencut.verify
+
+        calls = []
+        enumerate_regular = eigencut.verify.enumerate_connected_regular
+
+        def recording(n, d):
+            calls.append((n, d))
+            return enumerate_regular(n, d)
+
+        monkeypatch.setattr("eigencut.verify.enumerate_connected_regular", recording)
+        csv_path = tmp_path / "missing" / "records.csv"
+        code, out, err = run_cli(
+            capsys, "verify", "--d", "3", "--n-max", "10", "--csv", str(csv_path)
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert calls == []
+
     def test_random_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--d", "5", "--n-max", "16", "--mode", "random"])

@@ -1,5 +1,6 @@
 """Threshold sweeps, witness classification, expansion and prior bounds."""
 
+import json
 import math
 
 import pytest
@@ -17,7 +18,6 @@ from eigencut import (
     prior_bounds,
     records_to_csv,
     threshold,
-    verify_cut_lemmas,
     verify_theorem,
 )
 
@@ -77,7 +77,7 @@ class TestTheoremSweep:
         assert report.cut_vertex_graphs == 0 and not report.equality_cases
 
     def test_lemma_bounds_cubic(self):
-        records = verify_cut_lemmas(3, 10)
+        _, records = verify_theorem(3, 10)
         assert len(records) == 27
         for rec in records:
             for _, c in rec.witnesses:
@@ -86,7 +86,7 @@ class TestTheoremSweep:
     def test_lemma_equality_recorded(self):
         from eigencut import lambda2_value
 
-        records = verify_cut_lemmas(4, 11)
+        _, records = verify_theorem(4, 11)
         equalities = [
             (rec.graph6, c)
             for rec in records
@@ -96,6 +96,20 @@ class TestTheoremSweep:
         assert len(equalities) == 1
         g6, c = equalities[0]
         assert c == 2 and len(g6) > 1
+
+    def test_branch_bound_violation_is_counterexample(self, monkeypatch, capsys):
+        from eigencut.cli import main
+
+        # a branch bound of d sits above every lambda2 of a connected graph
+        monkeypatch.setattr("eigencut.verify.lambda2_value", lambda d, c: float(d))
+        report, records = verify_theorem(3, 10)
+        assert report.passed is False
+        extremal = [rec.graph6 for rec in records if rec.iso_extremal]
+        assert len(extremal) == 1
+        # the one cut-vertex graph, listed once
+        assert report.counterexamples == tuple(extremal)
+        assert main(["verify", "--d", "3", "--n-max", "10"]) == 1
+        assert json.loads(capsys.readouterr().out)["pass"] is False
 
     def test_random_mode_deterministic(self):
         r1, recs1 = verify_theorem(5, 16, mode="random", samples=30, seed=42)
