@@ -99,6 +99,9 @@ def _cmd_verify(args) -> int:
         if args.csv:
             fh.write(verify.records_to_csv(records))
     sys.stdout.write(report.to_json() + "\n")
+    if not report.cut_vertex_graphs:
+        n = report.graphs_checked
+        sys.stderr.write(f"note: vacuous verdict, no cut vertex in any of the {n} graphs checked\n")
     return 0 if report.passed else 1
 
 
@@ -154,11 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.mode == "random":
-        if args.samples is None or args.seed is None:
-            parser.error("random mode requires --samples and --seed")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except verify.VerificationError as exc:

@@ -163,6 +163,12 @@ class ExtremalSpec:
         ]
 
 
+def _resolve_spec(d: int, c: int, composition) -> ExtremalSpec:
+    if composition is None:
+        return ExtremalSpec.with_default_composition(d, c)
+    return ExtremalSpec(d, c, tuple(composition))
+
+
 def build_extremal(d: int, c: int, composition=None) -> Graph:
     """The extremal d-regular cut-vertex graph at branch degree ``c``.
 
@@ -170,22 +176,14 @@ def build_extremal(d: int, c: int, composition=None) -> Graph:
     cut vertex with branch degrees {c, d-c}.  ``composition=None`` selects
     the single-cycle default.
     """
-    if composition is None:
-        spec = ExtremalSpec.with_default_composition(d, c)
-    else:
-        spec = ExtremalSpec(d, c, tuple(composition))
-    return sequential_join(spec.blocks())
+    return sequential_join(_resolve_spec(d, c, composition).blocks())
 
 
 def construction_partition(d: int, c: int, composition=None) -> VertexPartition:
     """Block partition matching :func:`build_extremal`'s vertex labelling."""
-    if composition is None:
-        spec = ExtremalSpec.with_default_composition(d, c)
-    else:
-        spec = ExtremalSpec(d, c, tuple(composition))
     blocks = []
     offset = 0
-    for part in spec.blocks():
+    for part in _resolve_spec(d, c, composition).blocks():
         blocks.append(tuple(range(offset, offset + part.n)))
         offset += part.n
     return VertexPartition(tuple(blocks))
@@ -339,6 +337,9 @@ def saturated_cut_reduction(d: int, c: int, p: int, q: int) -> np.ndarray:
     )
 
 
+SWEEP_TOL = 1e-9
+
+
 def _top_eigenvalue(tridiag: np.ndarray) -> float:
     return float(tridiagonal_eigenvalues(tridiag)[0])
 
@@ -357,14 +358,26 @@ class SweepReport:
         return not self.violations
 
 
-def cut_parameter_sweep(d: int, c: int, tol: float = 1e-9) -> SweepReport:
+def _check_run(kind, run, top, increasing, violations) -> int:
+    """Flag each consecutive pair of ``run`` where ``top`` fails to strictly
+    rise (``increasing``) or fall, naming the later point; return the pair count."""
+    for prev, cur in zip(run, run[1:]):
+        gap = top[cur] - top[prev] if increasing else top[prev] - top[cur]
+        if gap <= SWEEP_TOL:
+            violations.append(f"{kind} not strictly monotone at {cur}: gap={gap:.3e}")
+    return max(len(run) - 1, 0)
+
+
+def cut_parameter_sweep(d: int, c: int) -> SweepReport:
     """Check the top-eigenvalue response over the admissible parameter grid.
 
     The top eigenvalue of the deflated cut-partition quotient must strictly
     decrease as either cross-edge count (r, t) grows, and the saturated
     reduction's top eigenvalue must strictly increase with either outer block
     order (p, q).  For odd d the branch degree is normalized to its odd form
-    first (the even form is the mirror image).
+    first (the even form is the mirror image).  Each grid point is solved
+    once; violations list the r- and t-runs of each (p, q), then the p-runs,
+    then the q-runs.
     """
     if d < 3 or not 1 <= c <= d - 1:
         raise ValueError("invalid (d, c)")
@@ -376,54 +389,21 @@ def cut_parameter_sweep(d: int, c: int, tol: float = 1e-9) -> SweepReport:
     r_range = lambda p: range(c * (d - c), min(c * p, c * (d - 1)) + 1)
     t_range = lambda q: range((d - c) * c, min((d - c) * q, (d - c) * (d - 1)) + 1)
 
-    comparisons = 0
+    top = {}
+    runs = []  # (direction, increasing, points) in report order
+    for p in p_range:
+        for q in q_range:
+            rs, ts = r_range(p), t_range(q)
+            for r in rs:
+                for t in ts:
+                    quot = cut_partition_quotient(d, c, BranchParams(p, q, r, t))
+                    top[p, q, r, t] = _top_eigenvalue(tridiagonal_reduce(quot.entries, d))
+            runs += [("r", False, [(p, q, r, t) for r in rs]) for t in ts]
+            runs += [("t", False, [(p, q, r, t) for t in ts]) for r in rs]
+            top[p, q] = _top_eigenvalue(saturated_cut_reduction(d, c, p, q))
+    runs += [("p", True, [(p, q) for p in p_range]) for q in q_range]
+    runs += [("q", True, [(p, q) for q in q_range]) for p in p_range]
+
     violations = []
-
-    def check(kind, params, prev, cur, increasing):
-        nonlocal comparisons
-        comparisons += 1
-        gap = (cur - prev) if increasing else (prev - cur)
-        if gap <= tol:
-            violations.append(f"{kind} not strictly monotone at {params}: gap={gap:.3e}")
-
-    for p in p_range:
-        for q in q_range:
-            for t in t_range(q):
-                prev = None
-                for r in r_range(p):
-                    top = _top_eigenvalue(
-                        tridiagonal_reduce(
-                            cut_partition_quotient(d, c, BranchParams(p, q, r, t)).entries, d
-                        )
-                    )
-                    if prev is not None:
-                        check("r", (p, q, r, t), prev, top, increasing=False)
-                    prev = top
-            for r in r_range(p):
-                prev = None
-                for t in t_range(q):
-                    top = _top_eigenvalue(
-                        tridiagonal_reduce(
-                            cut_partition_quotient(d, c, BranchParams(p, q, r, t)).entries, d
-                        )
-                    )
-                    if prev is not None:
-                        check("t", (p, q, r, t), prev, top, increasing=False)
-                    prev = top
-
-    for q in q_range:
-        prev = None
-        for p in p_range:
-            top = _top_eigenvalue(saturated_cut_reduction(d, c, p, q))
-            if prev is not None:
-                check("p", (p, q), prev, top, increasing=True)
-            prev = top
-    for p in p_range:
-        prev = None
-        for q in q_range:
-            top = _top_eigenvalue(saturated_cut_reduction(d, c, p, q))
-            if prev is not None:
-                check("q", (p, q), prev, top, increasing=True)
-            prev = top
-
+    comparisons = sum(_check_run(kind, run, top, inc, violations) for kind, inc, run in runs)
     return SweepReport(d, c, comparisons, tuple(violations))

@@ -196,15 +196,18 @@ def _component_mask(g: Graph, start: int, allowed: int) -> int:
     return seen
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    remaining = (1 << g.n) - 1
+def _component_masks(g: Graph, allowed: int) -> list[int]:
+    """Component bitmasks of the subgraph induced on ``allowed``, lowest vertex first."""
     comps = []
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = _component_mask(g, start, remaining)
-        comps.append(frozenset(_bits(comp)))
-        remaining &= ~comp
+    while allowed:
+        comp = _component_mask(g, (allowed & -allowed).bit_length() - 1, allowed)
+        comps.append(comp)
+        allowed &= ~comp
     return comps
+
+
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    return [frozenset(_bits(comp)) for comp in _component_masks(g, (1 << g.n) - 1)]
 
 
 def articulation_points(g: Graph) -> list[CutVertexWitness]:
@@ -256,17 +259,10 @@ def articulation_points(g: Graph) -> list[CutVertexWitness]:
     for u in range(n):
         if not cut[u]:
             continue
-        allowed = ((1 << n) - 1) & ~(1 << u)
-        remaining = allowed
-        comps = []
-        degs = []
-        while remaining:
-            start = (remaining & -remaining).bit_length() - 1
-            comp = _component_mask(g, start, allowed) & remaining
-            comps.append(frozenset(_bits(comp)))
-            degs.append((g.rows[u] & comp).bit_count())
-            remaining &= ~comp
-        witnesses.append(CutVertexWitness(u, tuple(comps), tuple(degs)))
+        comps = _component_masks(g, ((1 << n) - 1) & ~(1 << u))
+        parts = tuple(frozenset(_bits(comp)) for comp in comps)
+        degs = tuple((g.rows[u] & comp).bit_count() for comp in comps)
+        witnesses.append(CutVertexWitness(u, parts, degs))
     return witnesses
 
 

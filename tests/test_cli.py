@@ -122,11 +122,10 @@ class TestVerify:
         assert len(payload["equality_cases"]) == 1
         assert csv_path.read_text().startswith("graph6,n,d,witnesses")
 
-    def test_random_deterministic_across_workers(self, capsys, tmp_path, monkeypatch):
+    def test_random_deterministic_across_workers(self, capsys, tmp_path):
         outputs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("THREADS", threads)
-            csv_path = tmp_path / f"rec{threads}.csv"
+        for run in ("1", "2"):
+            csv_path = tmp_path / f"rec{run}.csv"
             code, out, _ = run_cli(
                 capsys,
                 "verify",
@@ -184,9 +183,18 @@ class TestVerify:
         assert calls == []
 
     def test_random_requires_seed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--d", "5", "--n-max", "16", "--mode", "random"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "verify", "--d", "5", "--n-max", "16", "--mode", "random")
+        assert code == 2 and out == ""
+        assert err == "error: random mode needs samples and seed\n"
+
+    def test_vacuous_verdict_noted(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--n-max", "6")
+        assert code == 0
+        assert json.loads(out)["cut_vertex_graphs"] == 0
+        assert err == "note: vacuous verdict, no cut vertex in any of the 3 graphs checked\n"
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--n-max", "10")
+        assert code == 0 and json.loads(out)["cut_vertex_graphs"] > 0
+        assert err == ""
 
 
 class TestCompareBounds:

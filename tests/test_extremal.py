@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from eigencut import extremal
 from eigencut import (
     BranchParams,
     ExtremalSpec,
@@ -262,10 +263,9 @@ class TestMonotonicity:
 
 class TestSweeps:
     def test_fact_sweep_examples(self):
-        rep = cut_parameter_sweep(6, 2)
-        assert rep.passed and rep.comparisons > 0
-        rep = cut_parameter_sweep(5, 2)
-        assert rep.passed
+        for (d, c), comparisons in {(5, 2): 32, (6, 2): 128, (7, 3): 332, (8, 4): 1308}.items():
+            rep = cut_parameter_sweep(d, c)
+            assert rep.passed and rep.comparisons == comparisons, (d, c)
 
     def test_spot_directions(self):
         # larger cross-edge count r lowers the top eigenvalue
@@ -289,3 +289,28 @@ class TestSweeps:
     def test_degenerate_grid_passes(self):
         rep = cut_parameter_sweep(3, 1)
         assert rep.passed and rep.comparisons == 0
+
+    def test_one_solve_per_grid_point(self, monkeypatch):
+        calls, saturated = [], []
+        solve, reduce = extremal.cut_partition_quotient, extremal.saturated_cut_reduction
+
+        def counted(d, c, bp):
+            calls.append((bp.p, bp.q, bp.r, bp.t))
+            return solve(d, c, bp)
+
+        def counted_saturated(d, c, p, q):
+            saturated.append((p, q))
+            return reduce(d, c, p, q)
+
+        monkeypatch.setattr(extremal, "cut_partition_quotient", counted)
+        monkeypatch.setattr(extremal, "saturated_cut_reduction", counted_saturated)
+        assert cut_parameter_sweep(6, 2).passed
+        assert len(calls) == len(set(calls)) == 81
+        assert len(saturated) == len(set(saturated)) == 3
+
+    def test_flat_eigenvalue_fails_every_comparison(self, monkeypatch):
+        monkeypatch.setattr(extremal, "_top_eigenvalue", lambda tridiag: 1.0)
+        rep = cut_parameter_sweep(6, 2)
+        assert len(rep.violations) == rep.comparisons == 128
+        assert rep.violations[0] == "r not strictly monotone at (5, 3, 9, 8): gap=0.000e+00"
+        assert rep.violations[-1] == "q not strictly monotone at (5, 5): gap=0.000e+00"
