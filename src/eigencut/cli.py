@@ -25,7 +25,10 @@ def _fmt(x: float) -> str:
 def _cmd_build(args) -> int:
     composition = None
     if args.cycles:
-        composition = [int(part) for part in args.cycles.split(",")]
+        try:
+            composition = [int(part) for part in args.cycles.split(",")]
+        except ValueError:
+            raise ValueError(f"bad cycle composition {args.cycles!r}") from None
     g = extremal.build_extremal(args.d, args.c, composition)
     line = to_graph6(g) + "\n"
     if args.out:
@@ -62,10 +65,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, dots, hi = text.partition("..")
+    try:
+        return list(range(int(lo), int(hi) + 1)) if dots else [int(text)]
+    except ValueError:
+        raise ValueError(f"bad degree range {text!r}") from None
 
 
 def _cmd_threshold(args) -> int:

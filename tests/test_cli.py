@@ -33,6 +33,11 @@ class TestBuild:
         assert code == 2
         assert "even" in err
 
+    def test_bad_composition_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "build", "--d", "9", "--c", "7", "--cycles", "3,x")
+        assert code == 2 and out == ""
+        assert err == "error: bad cycle composition '3,x'\n"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "g.g6"
         code, out, _ = run_cli(capsys, "build", "--d", "4", "--c", "2", "--out", str(target))
@@ -108,6 +113,12 @@ class TestThreshold:
         code, out, err = run_cli(capsys, "threshold", "--d-range", "8..3")
         assert code == 2 and out == ""
         assert err == "error: empty degree range '8..3'\n"
+
+    def test_bad_range_rejected(self, capsys):
+        for text in ("3..", "a..4", "x"):
+            code, out, err = run_cli(capsys, "threshold", "--d-range", text)
+            assert code == 2 and out == ""
+            assert err == f"error: bad degree range '{text}'\n"
 
 
 class TestVerify:

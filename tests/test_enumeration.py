@@ -1,5 +1,6 @@
 """Exhaustive enumerator (vs brute-force oracle) and the pairing sampler."""
 
+import functools
 import hashlib
 import random
 
@@ -15,7 +16,8 @@ from eigencut import (
     random_connected_regular,
     to_graph6,
 )
-from eigencut.enumeration import _beats_identity
+from eigencut import enumeration
+from eigencut.enumeration import _beats_identity, _swap_beats
 
 
 def _edges_of_code(n, code):
@@ -23,6 +25,30 @@ def _edges_of_code(n, code):
     pairs = [(i, j) for j in range(n) for i in range(j)]
     top = len(pairs) - 1
     return [e for k, e in enumerate(pairs) if (code >> (top - k)) & 1]
+
+
+@functools.cache
+def _max_codes(n):
+    """The max code of every labelled graph on n vertices, keyed by its code.
+
+    Relabellings share a maximum, so the oracle runs once per isomorphism
+    class.
+    """
+    best = {}
+    for code in range(1 << (n * (n - 1) // 2)):
+        if code not in best:
+            codes = oracles.column_codes(n, _edges_of_code(n, code))
+            assert codes[tuple(range(n))] == code
+            best.update(dict.fromkeys(codes.values(), max(codes.values())))
+    return best
+
+
+def _seeded_codes_7():
+    """Codes of a seeded sample of 12 labelled graphs on 7 vertices."""
+    rng = random.Random(7)
+    for _ in range(12):
+        density = rng.random()
+        yield sum(1 << k for k in range(21) if rng.random() < density)
 
 
 class TestEnumerate:
@@ -87,30 +113,56 @@ class TestEnumerate:
             assert hashlib.sha256("\n".join(stream).encode()).hexdigest() == digest
 
     def test_canonicity_matches_max_code_oracle(self):
-        # Every labelled graph on <= 6 vertices, by code.  Relabellings
-        # share a maximum, so the oracle runs once per isomorphism class.
+        # Every labelled graph on <= 6 vertices, by code.
         for n in range(1, 7):
-            best = {}
-            for code in range(1 << (n * (n - 1) // 2)):
-                edges = _edges_of_code(n, code)
-                if code not in best:
-                    codes = oracles.column_codes(n, edges)
-                    assert codes[tuple(range(n))] == code
-                    best.update(dict.fromkeys(codes.values(), max(codes.values())))
-                rows = graph_from_edges(n, edges).rows
-                assert _beats_identity(rows, n - 1) == (code < best[code])
+            for code, top in _max_codes(n).items():
+                rows = graph_from_edges(n, _edges_of_code(n, code)).rows
+                assert _beats_identity(rows, n - 1) == (code < top)
         # A seeded sample on 7 vertices, each with its max-code relabelling,
         # which no relabelling beats.
-        rng = random.Random(7)
-        for _ in range(12):
-            density = rng.random()
-            code = sum(1 << k for k in range(21) if rng.random() < density)
+        for code in _seeded_codes_7():
             edges = _edges_of_code(7, code)
             top, order = oracles.max_column_code(7, edges)
             assert _beats_identity(graph_from_edges(7, edges).rows, 6) == (code < top)
             pos = {v: p for p, v in enumerate(order)}
             canon = graph_from_edges(7, [(pos[u], pos[v]) for u, v in edges])
             assert not _beats_identity(canon.rows, 6)
+
+    def test_adjacent_swap_rule_is_sound(self):
+        # The rule fires exactly where the last column reads larger than
+        # column t-1 on vertices 0..t-2 (vertex 0 first), and there both the
+        # max-code test and the oracle find a larger relabelling.
+        labelled = [(n, code, top) for n in range(3, 7) for code, top in _max_codes(n).items()]
+        for code in _seeded_codes_7():
+            labelled.append((7, code, oracles.max_column_code(7, _edges_of_code(7, code))[0]))
+        fired = 0
+        for n, code, top in labelled:
+            rows = graph_from_edges(n, _edges_of_code(n, code)).rows
+            t = n - 1
+            last = [(rows[t] >> i) & 1 for i in range(t - 1)]
+            prev = [(rows[t - 1] >> i) & 1 for i in range(t - 1)]
+            assert _swap_beats(rows[t - 1], rows[t], t) == (last > prev)
+            if last > prev:
+                fired += 1
+                assert _beats_identity(rows, t)
+                assert top > code
+        assert fired == 15838
+
+    def test_canonicity_call_counts_pinned(self, monkeypatch):
+        # The adjacent-swap rule settles most candidates before the max-code
+        # test, which without it runs 22,584 and 13,584 times here.
+        calls = 0
+
+        def counted(rows, t):
+            nonlocal calls
+            calls += 1
+            return _beats_identity(rows, t)
+
+        monkeypatch.setattr(enumeration, "_beats_identity", counted)
+        for n, d, count, expected in [(12, 3, 85, 5097), (10, 4, 59, 3520)]:
+            calls = 0
+            assert sum(1 for _ in enumerate_connected_regular(n, d)) == count
+            assert calls == expected
 
     def test_graph6_round_trip_over_streams(self):
         from eigencut import from_graph6
@@ -140,6 +192,16 @@ class TestRandomRegular:
 
         for seed in (0, 1, 99):
             assert is_isomorphic(random_connected_regular(4, 3, seed), complete(4))
+
+    def test_impossible_low_degree_rejected(self):
+        # d <= 1 admits a connected graph only on d+1 vertices; the sampler
+        # says so at once, as the enumerator yields nothing.
+        for n, d in [(4, 1), (3, 0)]:
+            with pytest.raises(ValueError, match=f"no connected {d}-regular graph on {n} vertices"):
+                random_connected_regular(n, d, seed=0)
+            assert not list(enumerate_connected_regular(n, d))
+        assert random_connected_regular(2, 1, seed=0).n == 2
+        assert random_connected_regular(1, 0, seed=0).n == 1
 
     def test_parity_rejected(self):
         with pytest.raises(ValueError):
