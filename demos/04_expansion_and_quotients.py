@@ -41,7 +41,7 @@ print("=" * 68)
 g = build_extremal(6, 2)
 part = construction_partition(6, 2)
 print(f"blocks: {[len(b) for b in part.blocks]}  equitable: {is_equitable(g, part)}")
-q = quotient(g, part).entries
+q = quotient(g, part)
 print(np.array_str(q, precision=1))
 quotient_spec = np.sort(np.linalg.eigvals(q).real)[::-1]
 graph_spec = np.array(spectrum(g).eigenvalues)

@@ -53,7 +53,6 @@ from .graphs import (
 )
 from .spectra import (
     Polynomial,
-    QuotientMatrix,
     SpectralSummary,
     VertexPartition,
     adjacency_matrix,

@@ -106,12 +106,6 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
     (each graph is emitted in its canonical labelling).
     """
     _check_order(n, d)
-    if n == 1:
-        yield Graph(1, (0,))
-        return
-    if d == 0:
-        return  # no connected 0-regular graph on n >= 2 vertices
-
     rows = [0] * n
     deg = [0] * n
 
@@ -195,7 +189,7 @@ def random_connected_regular(n: int, d: int, seed: int) -> Graph:
             edges.add(e)
         if not ok:
             continue
-        g = graph_from_edges(n, sorted(edges))
+        g = graph_from_edges(n, edges)
         if is_connected(g):
             assert is_regular(g) == d
             return g

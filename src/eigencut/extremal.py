@@ -25,7 +25,6 @@ from .graphs import (
 )
 from .spectra import (
     Polynomial,
-    QuotientMatrix,
     VertexPartition,
     largest_root,
     tridiagonal_eigenvalues,
@@ -200,15 +199,19 @@ class ThresholdResult:
     extremal_graph: Graph
 
 
-def optimal_branch(d: int) -> int:
-    """Branch degree minimizing lambda2 over the admissible range."""
+def _branch_range(d: int) -> range:
+    """Admissible branch degrees up to d/2: 2, 4, ..., 2*floor(d/4) for even d
+    and 1, 2, ..., (d-1)/2 for odd d."""
     if d < 3:
         raise ValueError("degree must be at least 3")
-    if d == 3:
-        return 1
     if d % 2 == 0:
-        return 2 * (d // 4)
-    return (d - 1) // 2
+        return range(2, 2 * (d // 4) + 1, 2)
+    return range(1, (d - 1) // 2 + 1)
+
+
+def optimal_branch(d: int) -> int:
+    """Branch degree minimizing lambda2: the last of the admissible range."""
+    return _branch_range(d)[-1]
 
 
 def threshold(d: int) -> ThresholdResult:
@@ -219,41 +222,41 @@ def threshold(d: int) -> ThresholdResult:
 
 
 def monotonicity_chain(d: int) -> list[tuple[int, float]]:
-    """lambda2 of the family graphs for increasing branch degree.
-
-    Strictly decreasing: c runs over 2, 4, ..., 2*floor(d/4) for even d and
-    1, 2, ..., (d-1)/2 for odd d.
-    """
-    if d < 3:
-        raise ValueError("degree must be at least 3")
-    if d % 2 == 0:
-        cs = list(range(2, 2 * (d // 4) + 1, 2))
-    else:
-        cs = list(range(1, (d - 1) // 2 + 1))
-    return [(c, lambda2_value(d, c)) for c in cs]
+    """lambda2 of the family graphs over the admissible branch degrees up to
+    d/2, in increasing order of c; strictly decreasing."""
+    return [(c, lambda2_value(d, c)) for c in _branch_range(d)]
 
 
 # ---------------------------------------------------------------------------
-# closed-form quotient matrices of the construction partitions
+# the five-set quotient around a cut vertex
 
 
-def quotient_even_degree(d: int, c: int) -> QuotientMatrix:
-    """5x5 quotient of the even-degree construction partition; rows sum to d."""
-    f1_poly(d, c)  # validates the parameter range
-    entries = np.array(
+def _five_set_quotient(d: int, c: int, a, b, e, f) -> np.ndarray:
+    """5x5 quotient of outer block, neighbour set, cut vertex, neighbour set,
+    outer block; rows sum to d.
+
+    ``a``/``b`` are the mean edge counts from the first outer block into its
+    neighbour set and back, ``e``/``f`` the same on the other side.
+    """
+    return np.array(
         [
-            [d - c, c, 0, 0, 0],
-            [d + 1 - c, c - 2, 1, 0, 0],
+            [d - a, a, 0, 0, 0],
+            [b, d - 1 - b, 1, 0, 0],
             [0, c, 0, d - c, 0],
-            [0, 0, 1, d - c - 2, c + 1],
-            [0, 0, 0, d - c, c],
+            [0, 0, 1, d - 1 - e, e],
+            [0, 0, 0, f, d - f],
         ],
         dtype=float,
     )
-    return QuotientMatrix(entries, (d + 1 - c, c, 1, d - c, c + 1))
 
 
-def quotient_odd_degree(d: int, c: int) -> QuotientMatrix:
+def quotient_even_degree(d: int, c: int) -> np.ndarray:
+    """5x5 quotient of the even-degree construction partition; rows sum to d."""
+    f1_poly(d, c)  # validates the parameter range
+    return _five_set_quotient(d, c, c, d + 1 - c, c + 1, d - c)
+
+
+def quotient_odd_degree(d: int, c: int) -> np.ndarray:
     """5x5 quotient for the odd-degree construction (odd branch form).
 
     Defined for any 2 <= c <= d-2; for even c it is the matrix of the
@@ -261,17 +264,7 @@ def quotient_odd_degree(d: int, c: int) -> QuotientMatrix:
     characteristic polynomial f2(d, c).
     """
     f2_poly(d, c)  # validates the parameter range
-    entries = np.array(
-        [
-            [d - c, c, 0, 0, 0],
-            [d + 2 - c, c - 3, 1, 0, 0],
-            [0, c, 0, d - c, 0],
-            [0, 0, 1, d - c - 2, c + 1],
-            [0, 0, 0, d - c, c],
-        ],
-        dtype=float,
-    )
-    return QuotientMatrix(entries, (d + 2 - c, c, 1, d - c, c + 1))
+    return _five_set_quotient(d, c, c, d + 2 - c, c + 1, d - c)
 
 
 @dataclass(frozen=True)
@@ -301,40 +294,22 @@ class BranchParams:
             raise ValueError("t out of range")
 
 
-def cut_partition_quotient(d: int, c: int, bp: BranchParams) -> QuotientMatrix:
+def cut_partition_quotient(d: int, c: int, bp: BranchParams) -> np.ndarray:
     """5x5 quotient of the five-set partition around an arbitrary cut vertex."""
     bp.validate(d, c)
     p, q, r, t = bp.p, bp.q, bp.r, bp.t
-    entries = np.array(
-        [
-            [d - r / p, r / p, 0, 0, 0],
-            [r / c, d - 1 - r / c, 1, 0, 0],
-            [0, c, 0, d - c, 0],
-            [0, 0, 1, d - 1 - t / (d - c), t / (d - c)],
-            [0, 0, 0, t / q, d - t / q],
-        ]
-    )
-    return QuotientMatrix(entries, (p, c, 1, d - c, q))
+    return _five_set_quotient(d, c, r / p, r / c, t / (d - c), t / q)
 
 
 def saturated_cut_reduction(d: int, c: int, p: int, q: int) -> np.ndarray:
     """Deflated cut-partition quotient at saturated cross edges (r=cp, t=(d-c)q).
 
-    Equals the tridiagonal reduction of :func:`cut_partition_quotient` at
-    those cross-edge counts; at p = d+1-c, q = c+1 it coincides with the
-    reduction of the even-degree construction quotient.
+    At p = d+1-c, q = c+1 it is the reduction of the even-degree
+    construction quotient.
     """
     if not 1 <= c <= d - 1:
         raise ValueError("need 1 <= c <= d-1")
-    return np.array(
-        [
-            [d - c - p, 1, 0, 0],
-            [p, d - c - 1, d - c, 0],
-            [0, c, c - 1, q],
-            [0, 0, 1, c - q],
-        ],
-        dtype=float,
-    )
+    return tridiagonal_reduce(_five_set_quotient(d, c, c, p, q, d - c), d)
 
 
 SWEEP_TOL = 1e-9
@@ -397,10 +372,13 @@ def cut_parameter_sweep(d: int, c: int) -> SweepReport:
             for r in rs:
                 for t in ts:
                     quot = cut_partition_quotient(d, c, BranchParams(p, q, r, t))
-                    top[p, q, r, t] = _top_eigenvalue(tridiagonal_reduce(quot.entries, d))
+                    top[p, q, r, t] = _top_eigenvalue(tridiagonal_reduce(quot, d))
             runs += [("r", False, [(p, q, r, t) for r in rs]) for t in ts]
             runs += [("t", False, [(p, q, r, t) for t in ts]) for r in rs]
-            top[p, q] = _top_eigenvalue(saturated_cut_reduction(d, c, p, q))
+            # the saturated point is in the table: p, q <= d-1 make c*p and
+            # (d-c)*q the tops of the r- and t-ranges, and p >= d+1-c (q >= c+1)
+            # keeps them at or above the floors c*(d-c) and (d-c)*c
+            top[p, q] = top[p, q, c * p, (d - c) * q]
     runs += [("p", True, [(p, q) for p in p_range]) for q in q_range]
     runs += [("q", True, [(p, q) for q in q_range]) for p in p_range]
 

@@ -228,7 +228,7 @@ def articulation_points(g: Graph) -> list[CutVertexWitness]:
     cut = [False] * n
     counter = 0
     # iterative DFS; (vertex, parent, neighbour iterator) frames
-    stack = [(0, -1, iter(g.neighbors(0)))]
+    stack = [(0, -1, _bits(g.rows[0]))]
     index[0] = low[0] = counter
     counter += 1
     root_children = 0
@@ -241,7 +241,7 @@ def articulation_points(g: Graph) -> list[CutVertexWitness]:
                 counter += 1
                 if v == 0:
                     root_children += 1
-                stack.append((w, v, iter(g.neighbors(w))))
+                stack.append((w, v, _bits(g.rows[w])))
                 advanced = True
                 break
             elif w != parent:

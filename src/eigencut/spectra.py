@@ -51,14 +51,6 @@ class VertexPartition:
 
 
 @dataclass(frozen=True)
-class QuotientMatrix:
-    """Mean block-to-block degree matrix for an ordered partition."""
-
-    entries: np.ndarray
-    block_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Polynomial:
     """Monic real polynomial, coefficients in descending degree order."""
 
@@ -114,7 +106,7 @@ def spectrum(g: Graph) -> SpectralSummary:
     return SpectralSummary(tuple(float(x) for x in ev), lam2, lam_abs)
 
 
-def quotient(g: Graph, p: VertexPartition) -> QuotientMatrix:
+def quotient(g: Graph, p: VertexPartition) -> np.ndarray:
     """Mean neighbour counts between blocks; defined for any partition."""
     p.validate(g)
     m = len(p.blocks)
@@ -124,7 +116,7 @@ def quotient(g: Graph, p: VertexPartition) -> QuotientMatrix:
         for j in range(m):
             total = sum((g.rows[v] & masks[j]).bit_count() for v in block)
             entries[i, j] = total / len(block)
-    return QuotientMatrix(entries, tuple(len(b) for b in p.blocks))
+    return entries
 
 
 def is_equitable(g: Graph, p: VertexPartition) -> bool:

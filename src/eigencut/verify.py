@@ -266,12 +266,15 @@ class PriorBoundTable:
 def prior_bounds(d: int, n: int) -> PriorBoundTable:
     """The four published bounds at connectivity target 2, for an order-n graph.
 
-    Requires n > d+1 (several denominators vanish at n = d+1).
+    Requires n > d+1 (several denominators vanish at n = d+1) and n*d even,
+    so that some d-regular graph has order n.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
     if n <= d + 1:
         raise ValueError("need n > d+1 (degenerate denominator)")
+    if n * d % 2:
+        raise ValueError("n*d must be even (degree sum parity)")
     if d % 2 == 0:
         cioaba_gu = (d - 2 + (d * d + 12) ** 0.5) / 2
     else:

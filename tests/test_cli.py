@@ -220,8 +220,10 @@ class TestCompareBounds:
         assert all(m > 0 for m in margins)
 
     def test_degenerate(self, capsys):
-        code, _, err = run_cli(capsys, "compare-bounds", "--d", "3", "--n", "4")
-        assert code == 2 and "error" in err
+        for d, n in [("3", "4"), ("3", "5"), ("5", "7")]:  # n = d+1, then n*d odd
+            code, out, err = run_cli(capsys, "compare-bounds", "--d", d, "--n", n)
+            assert code == 2 and out == "", (d, n)
+            assert err.startswith("error: ") and err.count("\n") == 1, (d, n)
 
 
 class TestDeterminism:

@@ -71,6 +71,8 @@ class TestEnumerate:
             assert sum(1 for _ in enumerate_connected_regular(n, 2)) == 1
         assert sum(1 for _ in enumerate_connected_regular(2, 1)) == 1
         assert sum(1 for _ in enumerate_connected_regular(1, 0)) == 1
+        assert sum(1 for _ in enumerate_connected_regular(2, 0)) == 0
+        assert sum(1 for _ in enumerate_connected_regular(3, 0)) == 0
 
     def test_postconditions(self):
         for n, d in [(8, 3), (8, 4), (8, 5), (9, 4)]:

@@ -155,52 +155,65 @@ class TestQuotients:
             g = build_extremal(d, c)
             p = construction_partition(d, c)
             assert is_equitable(g, p)
-            assert np.allclose(quotient(g, p).entries, quotient_even_degree(d, c).entries)
+            assert np.allclose(quotient(g, p), quotient_even_degree(d, c))
         for d, c in [(5, 3), (7, 3), (9, 5)]:
             g = build_extremal(d, c)
             p = construction_partition(d, c)
             assert is_equitable(g, p)
-            assert np.allclose(quotient(g, p).entries, quotient_odd_degree(d, c).entries)
+            assert np.allclose(quotient(g, p), quotient_odd_degree(d, c))
 
     def test_known_rows(self):
         b1 = quotient_even_degree(4, 2)
-        assert np.allclose(b1.entries[1], [3, 0, 1, 0, 0])
-        assert np.allclose(b1.entries[0], [2, 2, 0, 0, 0])
+        assert np.allclose(b1[1], [3, 0, 1, 0, 0])
+        assert np.allclose(b1[0], [2, 2, 0, 0, 0])
         b2 = quotient_odd_degree(5, 3)
-        assert np.allclose(b2.entries[1], [4, 0, 1, 0, 0])
+        assert np.allclose(b2[1], [4, 0, 1, 0, 0])
+        # full matrices, exactly; (5, 2) is the mirrored even-c form with c-3 = -1
+        assert np.array_equal(
+            b1,
+            [[2, 2, 0, 0, 0], [3, 0, 1, 0, 0], [0, 2, 0, 2, 0], [0, 0, 1, 0, 3], [0, 0, 0, 2, 2]],
+        )
+        assert np.array_equal(
+            quotient_odd_degree(5, 2),
+            [[3, 2, 0, 0, 0], [5, -1, 1, 0, 0], [0, 2, 0, 3, 0], [0, 0, 1, 1, 3], [0, 0, 0, 3, 2]],
+        )
+        assert np.array_equal(
+            saturated_cut_reduction(5, 3, 4, 4),
+            [[-2, 1, 0, 0], [4, 1, 2, 0], [0, 3, 2, 4], [0, 0, 1, -1]],
+        )
 
     def test_row_sums(self):
         for d, c in valid_pairs(15):
             if c in (1, d - 1):
                 continue
             m = quotient_odd_degree(d, c) if d % 2 else quotient_even_degree(d, c)
-            assert np.allclose(m.entries.sum(axis=1), d)
+            assert np.allclose(m.sum(axis=1), d)
 
     def test_reductions_give_f_polynomials(self):
         for d in range(4, 16, 2):
             for c in range(2, d - 1, 2):
-                red = tridiagonal_reduce(quotient_even_degree(d, c).entries, d)
+                red = tridiagonal_reduce(quotient_even_degree(d, c), d)
                 assert np.allclose(char_poly(red).coeffs, f1_poly(d, c).coeffs, atol=1e-8)
         for d in range(5, 16, 2):
             for c in range(2, d - 1):
-                red = tridiagonal_reduce(quotient_odd_degree(d, c).entries, d)
+                red = tridiagonal_reduce(quotient_odd_degree(d, c), d)
                 assert np.allclose(char_poly(red).coeffs, f2_poly(d, c).coeffs, atol=1e-8)
 
     def test_cut_partition_reduction_identities(self):
         b3 = cut_partition_quotient(4, 2, BranchParams(3, 3, 6, 6))
-        assert np.allclose(b3.entries.sum(axis=1), 4)
+        assert np.allclose(b3.sum(axis=1), 4)
         assert np.allclose(
-            tridiagonal_reduce(b3.entries, 4), saturated_cut_reduction(4, 2, 3, 3)
+            tridiagonal_reduce(b3, 4), saturated_cut_reduction(4, 2, 3, 3)
         )
         # at the minimal block orders the saturated reduction is the
         # construction-partition reduction
         assert np.allclose(
             saturated_cut_reduction(6, 2, 5, 3),
-            tridiagonal_reduce(quotient_even_degree(6, 2).entries, 6),
+            tridiagonal_reduce(quotient_even_degree(6, 2), 6),
         )
         assert np.allclose(
             saturated_cut_reduction(5, 3, 4, 4),
-            tridiagonal_reduce(quotient_odd_degree(5, 3).entries, 5),
+            tridiagonal_reduce(quotient_odd_degree(5, 3), 5),
         )
 
     def test_branch_params_validation(self):
@@ -272,7 +285,7 @@ class TestSweeps:
         from eigencut.spectra import tridiagonal_eigenvalues
 
         def top_after_reduce(d, c, p, q, r, t):
-            m = cut_partition_quotient(d, c, BranchParams(p, q, r, t)).entries
+            m = cut_partition_quotient(d, c, BranchParams(p, q, r, t))
             return tridiagonal_eigenvalues(tridiagonal_reduce(m, d))[0]
 
         hi_r = top_after_reduce(6, 2, 5, 3, 10, 9)
@@ -306,7 +319,7 @@ class TestSweeps:
         monkeypatch.setattr(extremal, "saturated_cut_reduction", counted_saturated)
         assert cut_parameter_sweep(6, 2).passed
         assert len(calls) == len(set(calls)) == 81
-        assert len(saturated) == len(set(saturated)) == 3
+        assert saturated == []  # the saturated points are read from the grid table
 
     def test_flat_eigenvalue_fails_every_comparison(self, monkeypatch):
         monkeypatch.setattr(extremal, "_top_eigenvalue", lambda tridiag: 1.0)

@@ -82,13 +82,13 @@ class TestQuotient:
         k33 = cycles_union_complement([3, 3])
         part = VertexPartition(((0, 1, 2), (3, 4, 5)))
         q = quotient(k33, part)
-        assert np.allclose(q.entries, [[0, 3], [3, 0]])
+        assert np.allclose(q, [[0, 3], [3, 0]])
         assert is_equitable(k33, part)
 
     def test_single_block(self):
         g = cycle(6)
         q = quotient(g, VertexPartition((tuple(range(6)),)))
-        assert np.allclose(q.entries, [[2.0]])
+        assert np.allclose(q, [[2.0]])
 
     def test_path_partitions(self):
         p3 = graph_from_edges(3, [(0, 1), (1, 2)])
@@ -110,7 +110,7 @@ class TestQuotient:
             g = random_graph(rng, rng.randint(3, 12))
             ev = np.array(spectrum(g).eigenvalues)
             part = random_partition(rng, g.n)
-            mu = eigenvalues_symmetric_or_general(quotient(g, part).entries)
+            mu = eigenvalues_symmetric_or_general(quotient(g, part))
             m, n = len(mu), g.n
             for i in range(m):
                 assert ev[i] >= mu[i] - 1e-8
@@ -119,7 +119,7 @@ class TestQuotient:
     def test_equitable_embeds(self):
         k33 = cycles_union_complement([3, 3])
         part = VertexPartition(((0, 1, 2), (3, 4, 5)))
-        mu = eigenvalues_symmetric_or_general(quotient(k33, part).entries)
+        mu = eigenvalues_symmetric_or_general(quotient(k33, part))
         ev = list(spectrum(k33).eigenvalues)
         for m in mu:
             assert any(abs(m - e) < 1e-8 for e in ev)

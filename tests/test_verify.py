@@ -207,6 +207,8 @@ class TestPriorBounds:
     def test_degenerate_order(self):
         with pytest.raises(ValueError):
             prior_bounds(3, 4)
+        with pytest.raises(ValueError, match=r"n\*d must be even \(degree sum parity\)"):
+            prior_bounds(3, 5)
 
     def test_threshold_above_priors_when_strict(self):
         for d in range(3, 13):
