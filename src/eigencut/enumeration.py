@@ -18,7 +18,18 @@ isomorphism class, using vertex augmentation with a canonical-code prune:
   test: swapping ``t-1`` and ``t`` leaves columns ``1..t-2`` unchanged and
   makes column ``t-1`` that larger bitstring, so the test would reject the
   partial anyway.  The set of accepted partials, and hence the stream, is
-  unchanged; this O(1) check drops most candidates the test used to see.
+  unchanged; this O(1) check drops most candidates the test used to see;
+* call a vertex's lowest back-neighbour its parent.  By the previous rule
+  parents never decrease along an accepted partial, so once ``t`` takes
+  parent ``p`` no later vertex joins a vertex below ``p``.  Hence ``t``'s
+  parent must be the lowest vertex below ``t`` still short of degree ``d``
+  (any such vertex skipped would stay short for good), and only
+  back-neighbourhoods containing it are generated.  Likewise a partial is
+  dropped when its ``m`` future vertices would need more than
+  ``m(m-1)/2`` edges among themselves.  Both prunes remove only partials
+  with no regular completion, so the stream is unchanged (the parent rule
+  is the fill-in-order idea of Meringer's orderly generation of regular
+  graphs, J. Graph Theory 30, 1999).
 
 The max-code test works on neighbour bitmasks.  It places vertices at
 positions ``0, 1, ...`` in turn, keeping the set of unplaced vertices as a
@@ -28,8 +39,9 @@ earlier position, and a vertex whose column reads larger proves the
 identity is not canonical.  The search branches only on tied vertices.
 
 Together with degree feasibility pruning this enumerates all 621 connected
-cubic graphs on up to 14 vertices in about 4 s and all 1894 connected
-quartic graphs on up to 12 vertices in about 10 s (2-core Xeon, Python 3.11).
+cubic graphs on up to 14 vertices in about 0.9 s, all 1894 connected
+quartic graphs on up to 12 vertices in about 2 s and the 4060 cubic graphs
+on 16 vertices in about 7 s (2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -125,6 +137,8 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
             return False
         if total_need > m * min(d, t + 1):
             return False
+        if m * d - total_need > m * (m - 1):
+            return False  # the future vertices cannot place that many edges among themselves
         return True
 
     def extend(t: int) -> Iterator[Graph]:
@@ -132,12 +146,16 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
             yield Graph(n, tuple(rows))
             return
         elig = [v for v in range(t) if deg[v] < d]
+        if not elig:
+            return
+        lowest, others = elig[0], elig[1:]
         rem = n - 1 - t
         prev = rows[t - 1]
         for k in range(1, min(d, t) + 1):
             if d - k > rem:
                 continue
-            for comb in combinations(elig, k):
+            for rest in combinations(others, k - 1):
+                comb = (lowest,) + rest
                 col = 0
                 for v in comb:
                     col |= 1 << v

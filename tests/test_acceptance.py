@@ -47,6 +47,7 @@ from eigencut.spectra import VertexPartition
 
 D_MAX = 15
 CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
+QUARTIC_COUNTS = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16, 10: 59, 11: 265, 12: 1544}  # A006820
 
 
 def valid_pairs(d_max=D_MAX):
@@ -193,6 +194,8 @@ def test_criterion_06_theorem_exhaustive_verification():
     assert elapsed < 600.0, f"exhaustive verification took {elapsed:.1f}s"
     cubic_at_14 = sum(1 for r in recs3 if r.n == 14)
     assert cubic_at_14 == 509
+    quartic_per_order = {n: sum(1 for r in recs4 if r.n == n) for n in QUARTIC_COUNTS}
+    assert quartic_per_order == QUARTIC_COUNTS
     print(
         f"\nCRITERION 6 (exhaustive d=3 n<=14 [{rep3.graphs_checked} graphs], "
         f"d=4 n<=12 [{rep4.graphs_checked} graphs], {elapsed:.1f}s): PASS"

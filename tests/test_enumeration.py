@@ -109,6 +109,8 @@ class TestEnumerate:
         for n, d, count, digest in [
             (12, 3, 85, "b27808d206fb74dbad61f0779dc35088fbacbec680e03104c7eea056eff05bdc"),
             (10, 4, 59, "3b543b832ca643d4ce4ac2e2dffedbb2b2ff3da8976b16d467b3e1af57c99c43"),
+            (14, 3, 509, "4433238f6ba51d7c77d065ebddf04bd810d6195fa02e5809f5445f4935130fa9"),
+            (11, 4, 265, "a16b6b1e510c34762c56aa2cbe31433543c043e5d79b08469fa4978e83c7642f"),
         ]:
             stream = [to_graph6(g) for g in enumerate_connected_regular(n, d)]
             assert len(stream) == count
@@ -150,9 +152,29 @@ class TestEnumerate:
                 assert top > code
         assert fired == 15838
 
+    def test_parent_is_lowest_unsaturated_vertex(self):
+        # In the max-code labelling of each class, vertex t's lowest
+        # back-neighbour is the lowest vertex below t with fewer than d
+        # neighbours in {0..t-1}: the lemma behind the enumerator's parent rule.
+        cases = [(n, 3) for n in range(4, 9)] + [(n, 4) for n in range(5, 8)]
+        cases += [(6, 5), (7, 6)] + [(n, 2) for n in range(5, 8)]
+        classes = 0
+        for n, d in cases:
+            for edges in oracles.brute_enumerate_connected_regular(n, d):
+                order = oracles.max_column_code(n, edges)[1]
+                pos = {v: p for p, v in enumerate(order)}
+                adj = oracles.adj_sets(n, [(pos[u], pos[v]) for u, v in edges])
+                for t in range(1, n):
+                    unsaturated = [v for v in range(t) if sum(w < t for w in adj[v]) < d]
+                    assert min(w for w in adj[t] if w < t) == unsaturated[0], (n, d, edges, t)
+                classes += 1
+        assert classes == 17
+
     def test_canonicity_call_counts_pinned(self, monkeypatch):
         # The adjacent-swap rule settles most candidates before the max-code
-        # test, which without it runs 22,584 and 13,584 times here.
+        # test, which without it runs 22,584 and 13,584 times here; the parent
+        # rule and the edge-count bound cut it from 5,097 and 3,520 by never
+        # offering a partial that has no regular completion.
         calls = 0
 
         def counted(rows, t):
@@ -161,7 +183,7 @@ class TestEnumerate:
             return _beats_identity(rows, t)
 
         monkeypatch.setattr(enumeration, "_beats_identity", counted)
-        for n, d, count, expected in [(12, 3, 85, 5097), (10, 4, 59, 3520)]:
+        for n, d, count, expected in [(12, 3, 85, 869), (10, 4, 59, 702)]:
             calls = 0
             assert sum(1 for _ in enumerate_connected_regular(n, d)) == count
             assert calls == expected

@@ -1,5 +1,8 @@
 """Extremal constructions, closed-form polynomials, and their agreement."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from eigencut import (
     construction_partition,
     cut_parameter_sweep,
     cut_partition_quotient,
+    enumerate_connected_regular,
     f0_poly,
     f1_poly,
     f2_poly,
@@ -40,6 +44,27 @@ def valid_pairs(d_max):
         cs = range(2, d - 1, 2) if d % 2 == 0 else range(1, d)
         for c in cs:
             yield d, c
+
+
+def least_cut_vertex_order(d):
+    """Least order of a connected d-regular graph with a cut vertex, from branch constraints.
+
+    A branch B of branch degree c has a vertex with all d neighbours inside
+    B, so |B| >= d+1, and its degree sum d*|B| - c is even.  The cut vertex
+    has at least two branches whose branch degrees sum to d.
+    """
+
+    def branch(c):
+        return min((b for b in (d + 1, d + 2) if (d * b - c) % 2 == 0), default=math.inf)
+
+    @functools.cache
+    def branches(rest, top):
+        """Least total order of branches with degrees at most ``top`` summing to ``rest``."""
+        if rest == 0:
+            return 0
+        return min(branch(c) + branches(rest - c, c) for c in range(1, min(rest, top) + 1))
+
+    return 1 + branches(d, d - 1)
 
 
 class TestPolynomials:
@@ -107,6 +132,22 @@ class TestConstruction:
             assert g.n == (2 * d + 4 if d % 2 else 2 * d + 3)
             wits = articulation_points(g)
             assert any(sorted(w.branch_degrees) == sorted([c, d - c]) for w in wits)
+
+    def test_smallest_cut_vertex_order(self):
+        # No connected d-regular graph with a cut vertex lies below the
+        # extremal order, so the extremal graphs are the smallest ones.
+        for d, c in valid_pairs(10):
+            n0 = least_cut_vertex_order(d)
+            assert n0 == (2 * d + 4 if d % 2 else 2 * d + 3), d
+            assert build_extremal(d, c).n == n0, (d, c)
+
+    def test_no_cut_vertex_below_smallest_order(self):
+        for d, n_max in [(3, 8), (4, 10), (5, 10), (6, 11)]:
+            assert n_max < least_cut_vertex_order(d)
+            for n in range(d + 1, n_max + 1):
+                if n * d % 2 == 0:
+                    for g in enumerate_connected_regular(n, d):
+                        assert not articulation_points(g), (d, n)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
