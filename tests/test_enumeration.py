@@ -2,7 +2,9 @@
 
 import functools
 import hashlib
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,7 +16,10 @@ from eigencut import (
     is_isomorphic,
     is_regular,
     random_connected_regular,
+    records_to_csv,
+    relabel,
     to_graph6,
+    verify_theorem,
 )
 from eigencut import enumeration
 from eigencut.enumeration import _beats_identity, _swap_beats
@@ -41,6 +46,15 @@ def _max_codes(n):
             assert codes[tuple(range(n))] == code
             best.update(dict.fromkeys(codes.values(), max(codes.values())))
     return best
+
+
+def _labelled_graphs(n, d):
+    """Every labelled connected d-regular graph on n vertices, as row tuples."""
+    return {
+        relabel(g, perm).rows
+        for g in enumerate_connected_regular(n, d)
+        for perm in itertools.permutations(range(n))
+    }
 
 
 def _seeded_codes_7():
@@ -234,3 +248,59 @@ class TestRandomRegular:
             random_connected_regular(3, 4, seed=0)
         with pytest.raises(ValueError, match="degree must be non-negative"):
             random_connected_regular(4, -2, seed=0)
+
+    def test_uniform_over_labelled_graphs(self):
+        # The pairing model conditioned on a simple connected outcome is
+        # uniform over labelled graphs: K3,3 (10 labellings) and the prism
+        # (60) at (6, 3); the complements of C7 (360) and C3+C4 (105) at
+        # (7, 4).  Each bound is the 1e-6 upper tail of chi-squared at
+        # K - 1 degrees of freedom.  A partner never drawn from the last free
+        # stub biases (6, 3) only slightly (chi-squared ~105 at 7,000
+        # draws), hence the 30,000.
+        for n, d, draws, cells, bound in [(6, 3, 30000, 70, 139.8), (7, 4, 4650, 465, 623.5)]:
+            labelled = _labelled_graphs(n, d)
+            assert len(labelled) == cells
+            seen = Counter(random_connected_regular(n, d, seed).rows for seed in range(draws))
+            assert set(seen) == labelled
+            expected = draws / cells
+            chi2 = sum((seen[rows] - expected) ** 2 / expected for rows in labelled)
+            assert chi2 < bound, (n, d, chi2)
+
+    def test_stream_pinned(self):
+        # The sampler's stream is part of every random-mode CSV; a change to
+        # which labelled graph a seed yields must show here.
+        assert to_graph6(random_connected_regular(10, 3, seed=1)) == "ITABIoKQG"
+        _, records = verify_theorem(3, 30, mode="random", samples=200, seed=7)
+        digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
+        assert digest == "5b6e6ef6d9023c9d8d27143f8ec90a3592671268c73efd38467992f2d296610d"
+
+    def test_graph_built_once_per_simple_pairing(self, monkeypatch):
+        # bench/tracing.py wraps these two names in the enumeration module;
+        # the sampler must keep calling both through it, once per simple
+        # pairing.
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(enumeration, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in ("graph_from_edges", "is_connected"):
+            monkeypatch.setattr(enumeration, name, counting(name))
+        for seed in range(50):
+            calls.clear()
+            random_connected_regular(12, 3, seed)
+            assert calls["graph_from_edges"] == calls["is_connected"] >= 1
+
+    def test_budget_diagnostic_names_the_order(self, monkeypatch):
+        # K7 comes from a pairing with probability (6!)^7 / 41!! ~ 7.6e-6,
+        # so one attempt finds nothing; the message must not read as if no
+        # 6-regular graph on 7 vertices existed.
+        monkeypatch.setattr(enumeration, "REJECTION_BUDGET", 1)
+        message = "pairing sampler found no connected 6-regular graph on 7 vertices in 1 attempts"
+        with pytest.raises(RuntimeError, match=message):
+            random_connected_regular(7, 6, seed=0)
