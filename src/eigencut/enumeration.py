@@ -40,8 +40,8 @@ identity is not canonical.  The search branches only on tied vertices.
 
 Together with degree feasibility pruning this enumerates all 621 connected
 cubic graphs on up to 14 vertices in about 0.9 s, all 1894 connected
-quartic graphs on up to 12 vertices in about 2 s and the 4060 cubic graphs
-on 16 vertices in about 7 s (2-core Xeon, Python 3.11).
+quartic graphs on up to 12 vertices in about 1.6 s and the 4060 cubic
+graphs on 16 vertices in about 4.5 s (2-core Xeon, Python 3.11).
 
 The random sampler is exactly uniform over labelled connected d-regular
 graphs.  It pairs degree stubs one at a time, each with a uniformly chosen

@@ -8,6 +8,7 @@ immutable; every operation here is a pure function.
 
 from __future__ import annotations
 
+import binascii
 from collections import deque
 from dataclasses import dataclass
 
@@ -24,16 +25,20 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(self.rows) != self.n:
             raise ValueError("rows must have one mask per vertex")
+        rows = self.rows
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        for v, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {v} references a vertex >= n")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in _bits(self.rows[v]):
-                if not (self.rows[u] >> v) & 1:
+        for v, row in enumerate(rows):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not (rows[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+                row ^= low
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -184,12 +189,15 @@ def is_connected(g: Graph) -> bool:
 
 def _component_mask(g: Graph, start: int, allowed: int) -> int:
     """Bitmask of the component of ``start`` inside the ``allowed`` vertex set."""
+    rows = g.rows
     seen = 1 << start
     frontier = seen
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.rows[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
         nxt &= allowed & ~seen
         seen |= nxt
         frontier = nxt
@@ -213,55 +221,66 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 def articulation_points(g: Graph) -> list[CutVertexWitness]:
     """All cut vertices of a connected graph, with their component splits.
 
-    Uses the classic low-link depth-first search; for each cut vertex the
-    components of ``G - u`` and the edge counts from ``u`` into them are
-    reported.  Empty result means the graph is 2-connected (or n <= 2).
+    Uses the classic low-link depth-first search (Hopcroft and Tarjan); for
+    each cut vertex the components of ``G - u`` and the edge counts from
+    ``u`` into them are reported.  Empty result means the graph is
+    2-connected (or n <= 2).  A disconnected graph raises ``ValueError``.
     """
-    if not is_connected(g):
-        raise ValueError("articulation points are defined for connected graphs")
     n = g.n
-    if n <= 2:
+    if n == 0:
         return []
 
-    index = [-1] * n
+    rows = g.rows
+    index = [0] * n
     low = [0] * n
-    cut = [False] * n
-    counter = 0
-    # iterative DFS; (vertex, parent, neighbour iterator) frames
-    stack = [(0, -1, _bits(g.rows[0]))]
-    index[0] = low[0] = counter
-    counter += 1
+    cut = 0
     root_children = 0
+    visited = 1
+    counter = 1
+    # iterative DFS from vertex 0, lowest unvisited neighbour first.  When w
+    # is reached from v, its visited neighbours other than v are ancestors,
+    # so its back edges are read then; neighbours visited later are its
+    # descendants and cannot lower low[w].  A frame is just its vertex: the
+    # neighbours left to visit are its row minus the visited mask.
+    stack = [0]
     while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if index[w] == -1:
-                index[w] = low[w] = counter
-                counter += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((w, v, _bits(g.rows[w])))
-                advanced = True
-                break
-            elif w != parent:
-                low[v] = min(low[v], index[w])
-        if not advanced:
+        v = stack[-1]
+        fresh = rows[v] & ~visited
+        if fresh:
+            bit = fresh & -fresh
+            w = bit.bit_length() - 1
+            visited |= bit
+            index[w] = lw = counter
+            counter += 1
+            back = rows[w] & visited & ~(1 << v)
+            while back:
+                b = back & -back
+                i = index[b.bit_length() - 1]
+                if i < lw:
+                    lw = i
+                back ^= b
+            low[w] = lw
+            if v == 0:
+                root_children += 1
+            stack.append(w)
+        else:
             stack.pop()
             if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if pv != 0 and low[v] >= index[pv]:
-                    cut[pv] = True
-    cut[0] = root_children >= 2
+                pv = stack[-1]
+                if low[v] < low[pv]:
+                    low[pv] = low[v]
+                if pv and low[v] >= index[pv]:
+                    cut |= 1 << pv
+    if counter != n:
+        raise ValueError("articulation points are defined for connected graphs")
+    if root_children >= 2:
+        cut |= 1
 
     witnesses = []
-    for u in range(n):
-        if not cut[u]:
-            continue
+    for u in _bits(cut):
         comps = _component_masks(g, ((1 << n) - 1) & ~(1 << u))
         parts = tuple(frozenset(_bits(comp)) for comp in comps)
-        degs = tuple((g.rows[u] & comp).bit_count() for comp in comps)
+        degs = tuple((rows[u] & comp).bit_count() for comp in comps)
         witnesses.append(CutVertexWitness(u, parts, degs))
     return witnesses
 
@@ -391,30 +410,33 @@ def relabel(g: Graph, perm) -> Graph:
 
 
 _G6_HEADER = ">>graph6<<"
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def to_graph6(g: Graph) -> str:
     """Standard printable graph6 encoding (column-major upper triangle)."""
     n = g.n
     if n <= 62:
-        prefix = [n + 63]
+        prefix = bytes([n + 63])
     elif n <= 258047:
-        prefix = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+        prefix = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError("graph too large for this graph6 encoder")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append((g.rows[i] >> j) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    data = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[k : k + 6]:
-            val = (val << 1) | bit
-        data.append(val + 63)
-    return bytes(prefix + data).decode("ascii")
+    # By symmetry column j of the upper triangle is the low j bits of row j,
+    # so bit k of `stream` is the k-th bit of the graph6 bit sequence.
+    stream = 0
+    offset = 0
+    for j, row in enumerate(g.rows):
+        stream |= (row & ((1 << j) - 1)) << offset
+        offset += j
+    # Reversing the bits of each little-endian byte puts bit 0 first; base64
+    # then reads 6-bit groups most significant bit first, as graph6 does.
+    data = stream.to_bytes((offset + 7) // 8, "little").translate(_BIT_REVERSED)
+    groups = binascii.b2a_base64(data, newline=False)[: (offset + 5) // 6]
+    return (prefix + groups.translate(_BASE64_TO_G6)).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _bits, _mask
+from .graphs import Graph, _mask
 
 SYMMETRY_TOL = 1e-12
 ROW_SUM_TOL = 1e-9
@@ -82,11 +82,13 @@ class Polynomial:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for v in range(g.n):
-        for u in _bits(g.rows[v]):
-            a[v, u] = 1.0
-    return a
+    n = g.n
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in g.rows]), np.uint8)
+    bits = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    # np.where, not astype: nothing else in a sweep casts uint8 to float64,
+    # and that cast's first call pages in another 64 KiB of numpy's code.
+    return np.where(bits.view(np.bool_), 1.0, 0.0)
 
 
 def eigenvalues_symmetric(m) -> np.ndarray:
@@ -100,10 +102,10 @@ def eigenvalues_symmetric(m) -> np.ndarray:
 
 
 def spectrum(g: Graph) -> SpectralSummary:
-    ev = eigenvalues_symmetric(adjacency_matrix(g))
-    lam2 = float(ev[1]) if g.n >= 2 else None
-    lam_abs = max(abs(float(ev[1])), abs(float(ev[-1]))) if g.n >= 2 else None
-    return SpectralSummary(tuple(float(x) for x in ev), lam2, lam_abs)
+    ev = eigenvalues_symmetric(adjacency_matrix(g)).tolist()
+    lam2 = ev[1] if g.n >= 2 else None
+    lam_abs = max(abs(ev[1]), abs(ev[-1])) if g.n >= 2 else None
+    return SpectralSummary(tuple(ev), lam2, lam_abs)
 
 
 def quotient(g: Graph, p: VertexPartition) -> np.ndarray:

@@ -14,6 +14,7 @@ from eigencut import (
     connected_components,
     cycle,
     cycles_union_complement,
+    disjoint_union,
     edges_between,
     from_edge_list_text,
     from_graph6,
@@ -37,6 +38,20 @@ def random_graph(rng, n, p=0.4):
     return graph_from_edges(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     )
+
+
+def assert_cut_vertices_match_brute_force(g):
+    """Compare ``articulation_points(g)`` with deletion; return the cut-vertex count."""
+    brute = oracles.brute_cut_vertices(g.n, g.edges())
+    wits = {w.u: w for w in articulation_points(g)}
+    assert set(wits) == set(brute)
+    for u, comps in brute.items():
+        got = sorted(tuple(sorted(c)) for c in wits[u].components)
+        assert got == comps
+        degs = [sum(1 for v in comp if g.has_edge(u, v)) for comp in got]
+        assert sorted(degs) == sorted(wits[u].branch_degrees)
+        assert sum(wits[u].branch_degrees) == g.degree(u)
+    return len(wits)
 
 
 class TestBuildingBlocks:
@@ -123,8 +138,15 @@ class TestStructure:
         assert articulation_points(complete(4)) == []
 
     def test_articulation_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            articulation_points(matching_complement(2))
+        triangle = complete(3)
+        for g in [
+            matching_complement(2),
+            disjoint_union([triangle, triangle]),
+            disjoint_union([complete(1), path(3)]),  # isolated vertex 0
+            disjoint_union([path(3), complete(1)]),  # isolated last vertex
+        ]:
+            with pytest.raises(ValueError, match="defined for connected graphs"):
+                articulation_points(g)
 
     def test_articulation_star(self):
         star = graph_from_edges(5, [(0, v) for v in range(1, 5)])
@@ -142,15 +164,24 @@ class TestStructure:
             if not is_connected(g):
                 continue
             checked += 1
-            brute = oracles.brute_cut_vertices(g.n, g.edges())
-            wits = {w.u: w for w in articulation_points(g)}
-            assert set(wits) == set(brute)
-            for u, comps in brute.items():
-                got = sorted(tuple(sorted(c)) for c in wits[u].components)
-                assert got == comps
-                degs = [sum(1 for v in comp if g.has_edge(u, v)) for comp in got]
-                assert sorted(degs) == sorted(wits[u].branch_degrees)
-                assert sum(wits[u].branch_degrees) == g.degree(u)
+            assert_cut_vertices_match_brute_force(g)
+
+    def test_articulation_matches_brute_force_sparse(self):
+        # a randomly labelled tree plus a few extra edges: unlike the dense
+        # draws above, most of these graphs have several cut vertices
+        rng = random.Random(19)
+        cut_vertices = 0
+        for _ in range(60):
+            n = rng.randint(3, 40)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = {(perm[rng.randrange(v)], perm[v]) for v in range(1, n)}
+            for _ in range(rng.randint(0, 3)):
+                edges.add(tuple(rng.sample(range(n), 2)))
+            g = graph_from_edges(n, edges)
+            assert is_connected(g)
+            cut_vertices += assert_cut_vertices_match_brute_force(g)
+        assert cut_vertices > 300
 
     def test_edges_between(self):
         k4 = complete(4)
@@ -215,19 +246,27 @@ class TestSerialization:
             n = rng.randint(0, 14)
             g = random_graph(rng, n)
             assert from_graph6(to_graph6(g)) == g
+        # above n = 62 the size takes the four-byte header
+        for n in [0, 63, 64, 100] + [rng.randint(63, 100) for _ in range(8)]:
+            g = random_graph(rng, n, p=rng.uniform(0.02, 0.5))
+            assert from_graph6(to_graph6(g)) == g
 
     def test_matches_independent_encoder(self):
         networkx = pytest.importorskip("networkx")
         rng = random.Random(17)
-        for _ in range(40):
-            n = rng.randint(1, 12)
-            g = random_graph(rng, n)
+
+        def check(g):
             h = networkx.Graph()
-            h.add_nodes_from(range(n))
+            h.add_nodes_from(range(g.n))
             h.add_edges_from(g.edges())
             expected = networkx.to_graph6_bytes(h, header=False).decode().strip()
             assert to_graph6(g) == expected
             assert from_graph6(expected) == g
+
+        for _ in range(40):
+            check(random_graph(rng, rng.randint(1, 12)))
+        for n in [0, 63, 64, 100] + [rng.randint(63, 100) for _ in range(8)]:
+            check(random_graph(rng, n, p=rng.uniform(0.02, 0.5)))
 
     def test_decode_errors(self):
         with pytest.raises(ValueError):
@@ -257,6 +296,18 @@ class TestValidation:
             Graph(1, (1,))  # self-loop
         with pytest.raises(ValueError):
             graph_from_edges(2, [(0, 2)])
+        # the same checks at high vertices, above one machine word
+        rows = [0] * 70
+        rows[68] = 1 << 69  # 68 -> 69 without 69 -> 68
+        with pytest.raises(ValueError, match=r"not symmetric at \(68, 69\)"):
+            Graph(70, tuple(rows))
+        rows[68] = 1 << 70
+        with pytest.raises(ValueError, match="row 68 references a vertex >= n"):
+            Graph(70, tuple(rows))
+        rows[68] = 0
+        rows[69] = 1 << 69
+        with pytest.raises(ValueError, match="self-loop at vertex 69"):
+            Graph(70, tuple(rows))
 
     def test_witness_is_frozen(self):
         w = CutVertexWitness(0, (frozenset({1}),), (1,))

@@ -70,6 +70,20 @@ class TestEigenvalues:
         assert s.lambda2 == pytest.approx(0, abs=1e-9)
         assert spectrum(complete(1)).lambda2 is None
 
+    def test_adjacency_matrix_matches_edge_oracle(self):
+        # every n up to 70 crosses the byte boundaries of a packed row
+        rng = random.Random(31)
+        for n in range(71):
+            g = random_graph(rng, n, p=rng.uniform(0.05, 0.6))
+            oracle = np.zeros((n, n))
+            for u, v in g.edges():
+                oracle[u, v] = oracle[v, u] = 1.0
+            a = adjacency_matrix(g)
+            assert a.dtype == np.float64
+            assert np.array_equal(a, oracle)
+            if n >= 2:
+                assert spectrum(g).lambda2 == float(np.linalg.eigvalsh(oracle)[-2])
+
     def test_regular_top_eigenvalue(self):
         for g, d in [(complete(5), 4), (cycle(7), 2), (cycles_union_complement([3, 3]), 3)]:
             ev = spectrum(g).eigenvalues

@@ -1,5 +1,6 @@
 """Threshold sweeps, witness classification, expansion and prior bounds."""
 
+import hashlib
 import json
 import math
 
@@ -110,6 +111,16 @@ class TestTheoremSweep:
         assert report.counterexamples == tuple(extremal)
         assert main(["verify", "--d", "3", "--n-max", "10"]) == 1
         assert json.loads(capsys.readouterr().out)["pass"] is False
+
+    def test_exhaustive_csv_pinned(self):
+        # every byte of the exhaustive reference sweeps, the .10g lambda2
+        # column and the graph6 ids included
+        for d, n_max, digest in [
+            (3, 14, "3aa79a7af874f474a9074c38779e6a5007fc9f6e4f3a26fd8729895cea548833"),
+            (4, 11, "008ed2c44284a6e9b00214edbfebe13a87edb379f50ba0219eb25c0f807a3bb2"),
+        ]:
+            _, records = verify_theorem(d, n_max)
+            assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == digest
 
     def test_random_mode_deterministic(self):
         r1, recs1 = verify_theorem(5, 16, mode="random", samples=30, seed=42)
