@@ -102,7 +102,9 @@ def eigenvalues_symmetric(m) -> np.ndarray:
 
 
 def spectrum(g: Graph) -> SpectralSummary:
-    ev = eigenvalues_symmetric(adjacency_matrix(g)).tolist()
+    # A Graph's rows are symmetric by validation, so the check in
+    # eigenvalues_symmetric would only repeat it.
+    ev = np.linalg.eigvalsh(adjacency_matrix(g))[::-1].tolist()
     lam2 = ev[1] if g.n >= 2 else None
     lam_abs = max(abs(ev[1]), abs(ev[-1])) if g.n >= 2 else None
     return SpectralSummary(tuple(ev), lam2, lam_abs)

@@ -22,7 +22,7 @@ from eigencut import (
     verify_theorem,
 )
 from eigencut import enumeration
-from eigencut.enumeration import _beats_identity, _swap_beats
+from eigencut.enumeration import _NODE, _beats_identity, _extension_beats, _swap_beats, _tie_prefixes
 
 
 def _edges_of_code(n, code):
@@ -55,6 +55,14 @@ def _labelled_graphs(n, d):
         for g in enumerate_connected_regular(n, d)
         for perm in itertools.permutations(range(n))
     }
+
+
+def _prefixes(tree):
+    """The prefix of every node of a tie-prefix tree, in record order."""
+    found = []
+    for parent, v, s in _NODE.iter_unpack(tree):
+        found.append(found[parent] + (v,) if s else ())
+    return found
 
 
 def _seeded_codes_7():
@@ -125,6 +133,7 @@ class TestEnumerate:
             (10, 4, 59, "3b543b832ca643d4ce4ac2e2dffedbb2b2ff3da8976b16d467b3e1af57c99c43"),
             (14, 3, 509, "4433238f6ba51d7c77d065ebddf04bd810d6195fa02e5809f5445f4935130fa9"),
             (11, 4, 265, "a16b6b1e510c34762c56aa2cbe31433543c043e5d79b08469fa4978e83c7642f"),
+            (12, 4, 1544, "cd94fa9d84fbbdd5e49248cfd9050bc069188ff92566d8dc3cee395753e6192a"),
         ]:
             stream = [to_graph6(g) for g in enumerate_connected_regular(n, d)]
             assert len(stream) == count
@@ -166,6 +175,50 @@ class TestEnumerate:
                 assert top > code
         assert fired == 15838
 
+    def test_tie_prefix_reuse_lemma(self):
+        # When the prefix on {0..n-2} is canonical, no prefix of its search
+        # (all of which avoid n-1) lets another vertex beat the identity, so
+        # the test that reuses those prefixes gives the max-code verdict.
+        labelled = [(n, code, top) for n in range(2, 7) for code, top in _max_codes(n).items()]
+        for code in _seeded_codes_7():
+            labelled.append((7, code, oracles.max_column_code(7, _edges_of_code(7, code))[0]))
+        reused = 0
+        for n, code, top in labelled:
+            rows = graph_from_edges(n, _edges_of_code(n, code)).rows
+            t = n - 1
+            ties = _tie_prefixes(rows, t, (1 << t) - 1)
+            if ties is None:
+                continue
+            reused += 1
+            for prefix in _prefixes(ties.tree):
+                ident = [rows[len(prefix)] >> i & 1 for i in range(len(prefix))]
+                for u in set(range(t)) - set(prefix):
+                    assert [rows[u] >> p & 1 for p in prefix] <= ident
+            assert _extension_beats(ties, rows, t) == _beats_identity(rows, t) == (code < top)
+        assert reused == 1308
+
+    def test_extension_test_matches_search_from_scratch(self, monkeypatch):
+        # On every partial the enumerator offers, the test that reuses the
+        # parent's tie prefixes agrees with a search from scratch, and an
+        # accepted partial that is not yet the whole graph keeps exactly the
+        # prefixes that search enters.
+        original = enumeration._extension_beats
+        verdicts = Counter()
+
+        def checked(ties, rows, t):
+            verdict = original(ties, rows, t)
+            assert verdict == _beats_identity(rows, t)
+            verdicts[verdict] += 1
+            if not verdict and t + 1 < len(rows):
+                scratch = _tie_prefixes(rows, t + 1, (1 << (t + 1)) - 1)
+                assert sorted(_prefixes(ties.tree)) == sorted(_prefixes(scratch.tree))
+            return verdict
+
+        monkeypatch.setattr(enumeration, "_extension_beats", checked)
+        for n, d, count in [(12, 3, 85), (10, 4, 59), (8, 5, 3)]:
+            assert sum(1 for _ in enumerate_connected_regular(n, d)) == count
+        assert verdicts == {False: 950, True: 654}
+
     def test_parent_is_lowest_unsaturated_vertex(self):
         # In the max-code labelling of each class, vertex t's lowest
         # back-neighbour is the lowest vertex below t with fewer than d
@@ -191,12 +244,12 @@ class TestEnumerate:
         # offering a partial that has no regular completion.
         calls = 0
 
-        def counted(rows, t):
+        def counted(ties, rows, t):
             nonlocal calls
             calls += 1
-            return _beats_identity(rows, t)
+            return _extension_beats(ties, rows, t)
 
-        monkeypatch.setattr(enumeration, "_beats_identity", counted)
+        monkeypatch.setattr(enumeration, "_extension_beats", counted)
         for n, d, count, expected in [(12, 3, 85, 869), (10, 4, 59, 702)]:
             calls = 0
             assert sum(1 for _ in enumerate_connected_regular(n, d)) == count

@@ -51,6 +51,16 @@ class TestEigenvalues:
             eigenvalues_symmetric([[0, 1], [0, 0]])
         with pytest.raises(ValueError):
             eigenvalues_symmetric([[0, 1, 0], [1, 0, 1]])
+        # spectrum() relies on Graph validation instead, so a matrix from
+        # outside, even one built from a graph and then altered, is checked here
+        a = adjacency_matrix(complete(4))
+        a[0, 1] = 0.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigenvalues_symmetric(a)
+        a = adjacency_matrix(cycle(5))
+        a[2, 3] += 1e-9
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigenvalues_symmetric(a)
 
     def test_trace_identities(self):
         rng = random.Random(23)
@@ -81,6 +91,7 @@ class TestEigenvalues:
             a = adjacency_matrix(g)
             assert a.dtype == np.float64
             assert np.array_equal(a, oracle)
+            assert spectrum(g).eigenvalues == tuple(eigenvalues_symmetric(a).tolist())
             if n >= 2:
                 assert spectrum(g).lambda2 == float(np.linalg.eigvalsh(oracle)[-2])
 
