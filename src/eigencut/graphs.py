@@ -43,9 +43,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.rows[v]))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 

@@ -193,6 +193,22 @@ class TestVerify:
         assert code == 2 and out == "" and err.startswith("error: ")
         assert calls == []
 
+    def test_usage_error_keeps_existing_csv(self, capsys, tmp_path):
+        csv_path = tmp_path / "records.csv"
+        kept = b"graph6,n,d,witnesses\nkept bytes\n"
+        for argv in [
+            ("--d", "3", "--n-max", "2"),
+            ("--d", "2", "--n-max", "10"),
+            ("--d", "4", "--n-max", "4"),
+            ("--d", "3", "--n-max", "10", "--samples", "5", "--seed", "1"),
+            ("--d", "5", "--n-max", "16", "--mode", "random"),
+            ("--d", "3", "--n-max", "10", "--mode", "random", "--samples", "0", "--seed", "1"),
+        ]:
+            csv_path.write_bytes(kept)
+            code, out, err = run_cli(capsys, "verify", *argv, "--csv", str(csv_path))
+            assert code == 2 and out == "" and err.startswith("error: "), argv
+            assert csv_path.read_bytes() == kept, argv
+
     def test_random_requires_seed(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--d", "5", "--n-max", "16", "--mode", "random")
         assert code == 2 and out == ""

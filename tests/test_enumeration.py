@@ -22,7 +22,14 @@ from eigencut import (
     verify_theorem,
 )
 from eigencut import enumeration
-from eigencut.enumeration import _NODE, _beats_identity, _extension_beats, _swap_beats, _tie_prefixes
+from eigencut.enumeration import (
+    _NODE,
+    _beats_identity,
+    _column_ties,
+    _extension_beats,
+    _swap_beats,
+    _tie_prefixes,
+)
 
 
 def _edges_of_code(n, code):
@@ -63,6 +70,14 @@ def _prefixes(tree):
     for parent, v, s in _NODE.iter_unpack(tree):
         found.append(found[parent] + (v,) if s else ())
     return found
+
+
+def _labelled_with_max_codes(smallest):
+    """(n, code, max code) for every labelled graph on ``smallest..6`` vertices and the 7-vertex sample."""
+    labelled = [(n, code, top) for n in range(smallest, 7) for code, top in _max_codes(n).items()]
+    for code in _seeded_codes_7():
+        labelled.append((7, code, oracles.max_column_code(7, _edges_of_code(7, code))[0]))
+    return labelled
 
 
 def _seeded_codes_7():
@@ -134,6 +149,9 @@ class TestEnumerate:
             (14, 3, 509, "4433238f6ba51d7c77d065ebddf04bd810d6195fa02e5809f5445f4935130fa9"),
             (11, 4, 265, "a16b6b1e510c34762c56aa2cbe31433543c043e5d79b08469fa4978e83c7642f"),
             (12, 4, 1544, "cd94fa9d84fbbdd5e49248cfd9050bc069188ff92566d8dc3cee395753e6192a"),
+            (10, 5, 60, "9658bb7612dc0ea3af261023a1c14a74802d6af7404d028cb5dbdb9a371c5d68"),
+            (11, 6, 266, "bac12a6d235321b273305792bf89725928b7b1bf3f51382c6729341c5e23df8e"),
+            (10, 7, 5, "d22063cd6cadff7f8494bd227f581f90719f285d9358ff1fa04f66b66e202bb4"),
         ]:
             stream = [to_graph6(g) for g in enumerate_connected_regular(n, d)]
             assert len(stream) == count
@@ -159,11 +177,8 @@ class TestEnumerate:
         # The rule fires exactly where the last column reads larger than
         # column t-1 on vertices 0..t-2 (vertex 0 first), and there both the
         # max-code test and the oracle find a larger relabelling.
-        labelled = [(n, code, top) for n in range(3, 7) for code, top in _max_codes(n).items()]
-        for code in _seeded_codes_7():
-            labelled.append((7, code, oracles.max_column_code(7, _edges_of_code(7, code))[0]))
         fired = 0
-        for n, code, top in labelled:
+        for n, code, top in _labelled_with_max_codes(3):
             rows = graph_from_edges(n, _edges_of_code(n, code)).rows
             t = n - 1
             last = [(rows[t] >> i) & 1 for i in range(t - 1)]
@@ -179,11 +194,8 @@ class TestEnumerate:
         # When the prefix on {0..n-2} is canonical, no prefix of its search
         # (all of which avoid n-1) lets another vertex beat the identity, so
         # the test that reuses those prefixes gives the max-code verdict.
-        labelled = [(n, code, top) for n in range(2, 7) for code, top in _max_codes(n).items()]
-        for code in _seeded_codes_7():
-            labelled.append((7, code, oracles.max_column_code(7, _edges_of_code(7, code))[0]))
         reused = 0
-        for n, code, top in labelled:
+        for n, code, top in _labelled_with_max_codes(2):
             rows = graph_from_edges(n, _edges_of_code(n, code)).rows
             t = n - 1
             ties = _tie_prefixes(rows, t, (1 << t) - 1)
@@ -194,30 +206,70 @@ class TestEnumerate:
                 ident = [rows[len(prefix)] >> i & 1 for i in range(len(prefix))]
                 for u in set(range(t)) - set(prefix):
                     assert [rows[u] >> p & 1 for p in prefix] <= ident
-            assert _extension_beats(ties, rows, t) == _beats_identity(rows, t) == (code < top)
+            assert _extension_beats(ties, rows, t, t) == _beats_identity(rows, t) == (code < top)
         assert reused == 1308
+
+    def test_tail_test_matches_max_code_oracle(self):
+        # With every vertex from t on new, the test that reuses the tie
+        # prefixes of a canonical {0..t-1} gives the max-code verdict on the
+        # whole graph, and a new vertex that reads larger at one of them
+        # (the cheap check on a tail vertex) marks a non-canonical graph.
+        cache = {}
+        starts = rejected = 0
+        for n, code, top in _labelled_with_max_codes(2):
+            rows = graph_from_edges(n, _edges_of_code(n, code)).rows
+            for t in range(1, n):
+                key = (n, tuple(r & ((1 << t) - 1) for r in rows[:t]))
+                if key not in cache:
+                    cache[key] = _tie_prefixes(rows, t, (1 << t) - 1)
+                ties = cache[key]
+                if ties is None:
+                    continue
+                starts += 1
+                assert _extension_beats(ties, rows, t, n - 1) == (code < top)
+                for u in range(t, n):
+                    if _column_ties(ties, rows, t, u) is None:
+                        rejected += 1
+                        assert code < top
+        assert (starts, rejected) == (91599, 154421)
 
     def test_extension_test_matches_search_from_scratch(self, monkeypatch):
         # On every partial the enumerator offers, the test that reuses the
         # parent's tie prefixes agrees with a search from scratch, and an
         # accepted partial that is not yet the whole graph keeps exactly the
-        # prefixes that search enters.
-        original = enumeration._extension_beats
+        # prefixes that search enters.  The same holds for the one test of
+        # each completed graph over its tail, and a tail vertex that the
+        # cheap check rejects makes the identity beaten already.
+        original_test, original_check = enumeration._extension_beats, enumeration._column_ties
         verdicts = Counter()
 
-        def checked(ties, rows, t):
-            verdict = original(ties, rows, t)
-            assert verdict == _beats_identity(rows, t)
-            verdicts[verdict] += 1
-            if not verdict and t + 1 < len(rows):
-                scratch = _tie_prefixes(rows, t + 1, (1 << (t + 1)) - 1)
+        def checked_test(ties, rows, t, last):
+            verdict = original_test(ties, rows, t, last)
+            assert verdict == _beats_identity(rows, last)
+            verdicts["tail" if t < last else "one vertex", verdict] += 1
+            if not verdict and last + 1 < len(rows):
+                scratch = _tie_prefixes(rows, last + 1, (1 << (last + 1)) - 1)
                 assert sorted(_prefixes(ties.tree)) == sorted(_prefixes(scratch.tree))
             return verdict
 
-        monkeypatch.setattr(enumeration, "_extension_beats", checked)
-        for n, d, count in [(12, 3, 85), (10, 4, 59), (8, 5, 3)]:
+        def checked_check(ties, rows, t, u):
+            tied = original_check(ties, rows, t, u)
+            if tied is None:
+                verdicts["cheap rejections"] += 1
+                assert _beats_identity(rows, u)
+            return tied
+
+        monkeypatch.setattr(enumeration, "_extension_beats", checked_test)
+        monkeypatch.setattr(enumeration, "_column_ties", checked_check)
+        for n, d, count in [(12, 3, 85), (10, 4, 59), (8, 5, 3), (9, 8, 1)]:
             assert sum(1 for _ in enumerate_connected_regular(n, d)) == count
-        assert verdicts == {False: 950, True: 654}
+        assert verdicts == {
+            ("one vertex", False): 157,
+            ("one vertex", True): 100,
+            ("tail", False): 148,
+            ("tail", True): 278,
+            "cheap rejections": 434,
+        }
 
     def test_parent_is_lowest_unsaturated_vertex(self):
         # In the max-code labelling of each class, vertex t's lowest
@@ -240,17 +292,19 @@ class TestEnumerate:
     def test_canonicity_call_counts_pinned(self, monkeypatch):
         # The adjacent-swap rule settles most candidates before the max-code
         # test, which without it runs 22,584 and 13,584 times here; the parent
-        # rule and the edge-count bound cut it from 5,097 and 3,520 by never
-        # offering a partial that has no regular completion.
+        # rule and the edge-count bound cut it from 5,097 and 3,520 to 869
+        # and 702 by never offering a partial that has no regular completion.
+        # Testing the last TAIL vertices once, on the completed graph, leaves
+        # 369 and 293.
         calls = 0
 
-        def counted(ties, rows, t):
+        def counted(ties, rows, t, last):
             nonlocal calls
             calls += 1
-            return _extension_beats(ties, rows, t)
+            return _extension_beats(ties, rows, t, last)
 
         monkeypatch.setattr(enumeration, "_extension_beats", counted)
-        for n, d, count, expected in [(12, 3, 85, 869), (10, 4, 59, 702)]:
+        for n, d, count, expected in [(12, 3, 85, 369), (10, 4, 59, 293)]:
             calls = 0
             assert sum(1 for _ in enumerate_connected_regular(n, d)) == count
             assert calls == expected
