@@ -91,14 +91,18 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sweep = (args.d, args.n_max, args.mode, args.samples, args.seed)
-    # Check the arguments before opening the CSV, so a usage error leaves an
-    # existing file as it was, and open it before the sweep, so an
-    # unwritable path fails at once.
-    verify.sweep_orders(*sweep)
-    with open(args.csv, "w") if args.csv else contextlib.nullcontext() as fh:
-        report, records = verify.verify_theorem(*sweep)
+    # open the CSV before the sweep, so an unwritable path fails at once, but
+    # empty it only after the sweep, so a failed sweep leaves it as it was
+    with open(args.csv, "a") if args.csv else contextlib.nullcontext() as fh:
+        report, records = verify.verify_theorem(
+            args.d,
+            args.n_max,
+            mode=args.mode,
+            samples=args.samples,
+            seed=args.seed,
+        )
         if args.csv:
+            fh.truncate(0)
             fh.write(verify.records_to_csv(records))
     sys.stdout.write(report.to_json() + "\n")
     if not report.cut_vertex_graphs:

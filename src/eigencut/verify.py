@@ -88,35 +88,26 @@ def cut_branch_values(g: Graph, d: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def sweep_orders(d: int, n_max: int, mode: str, samples: int | None, seed: int | None) -> list[int]:
-    """The orders a ``verify_theorem`` sweep visits, or its ValueError for bad arguments."""
-    if d < 3:
-        raise ValueError("degree must be at least 3")
+def _generate(d: int, n_max: int, mode: str, samples: int | None, seed: int | None):
     orders = [n for n in range(d + 1, n_max + 1) if n * d % 2 == 0]
     if not orders:
         raise ValueError("no admissible order at or below n_max")
     if mode == "exhaustive":
         if samples is not None or seed is not None:
             raise ValueError("samples and seed apply only to random mode")
+        for n in orders:
+            yield from enumerate_connected_regular(n, d)
     elif mode == "random":
         if samples is None or seed is None:
             raise ValueError("random mode needs samples and seed")
         if samples < 1:
             raise ValueError("samples must be positive")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return orders
-
-
-def _generate(d: int, orders: list[int], mode: str, samples: int | None, seed: int | None):
-    if mode == "exhaustive":
-        for n in orders:
-            yield from enumerate_connected_regular(n, d)
-    else:
         rng = random.Random(seed)
         for _ in range(samples):
             n = rng.choice(orders)
             yield random_connected_regular(n, d, rng.randrange(1 << 32))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _examine(g: Graph, d: int, thr_value: float, extremal: Graph) -> VerificationRecord:
@@ -148,11 +139,10 @@ def verify_theorem(
     ``lambda2_value(d, c)``.  Each graph is listed at most once.  ``samples``
     and ``seed`` drive random mode and are rejected in exhaustive mode.
     """
-    orders = sweep_orders(d, n_max, mode, samples, seed)
     thr = threshold(d)
     records = [
         _examine(g, d, thr.value, thr.extremal_graph)
-        for g in _generate(d, orders, mode, samples, seed)
+        for g in _generate(d, n_max, mode, samples, seed)
     ]
     # the CSV contract lists records in graph6-lexicographic order
     records.sort(key=lambda r: r.graph6)

@@ -209,6 +209,26 @@ class TestVerify:
             assert code == 2 and out == "" and err.startswith("error: "), argv
             assert csv_path.read_bytes() == kept, argv
 
+    def test_failed_sweep_keeps_existing_csv(self, capsys, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("sampler budget spent")
+
+        monkeypatch.setattr("eigencut.verify.verify_theorem", failing)
+        csv_path = tmp_path / "records.csv"
+        csv_path.write_bytes(b"kept bytes\n")
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--n-max", "10", "--csv", str(csv_path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert csv_path.read_bytes() == b"kept bytes\n"
+
+    def test_csv_replaces_existing_file(self, capsys, tmp_path):
+        fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+        old.write_bytes(b"x" * 4096)
+        for path in (fresh, old):
+            code, _, _ = run_cli(capsys, "verify", "--d", "3", "--n-max", "8", "--csv", str(path))
+            assert code == 0
+        assert old.read_bytes() == fresh.read_bytes()
+        assert fresh.read_bytes().startswith(b"graph6,")
+
     def test_random_requires_seed(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--d", "5", "--n-max", "16", "--mode", "random")
         assert code == 2 and out == ""
