@@ -34,21 +34,17 @@ from .graphs import (
     articulation_points,
     complement,
     complete,
-    connected_components,
     cycle,
     cycles_union_complement,
     disjoint_union,
     edges_between,
-    from_edge_list_text,
     from_graph6,
     graph_from_edges,
     is_connected,
     is_isomorphic,
     is_regular,
     matching_complement,
-    relabel,
     sequential_join,
-    to_edge_list_text,
     to_graph6,
 )
 from .spectra import (

@@ -44,9 +44,11 @@ isomorphism class, using vertex augmentation with a canonical-code prune:
   of the test: one that reads larger under a tie prefix of ``{0..base-1}``
   beats the identity in every completion.  The completed graph gets one
   full test, reusing those prefixes with every tail vertex as a new one
-  (adding several vertices changes no column below ``base`` either), so
-  the same graphs come out in the same order.  ``TAIL = 4`` was faster on
-  cubic ``n <= 14`` and quartic ``n <= 11`` than 3 or 5.
+  (adding several vertices changes no column below ``base`` either), and
+  reusing each tail vertex's cheap-check result rather than reading its
+  column again, so the same graphs come out in the same order.
+  ``TAIL = 4`` was faster on cubic ``n <= 14`` and quartic ``n <= 11``
+  than 3 or 5.
 
 The max-code test works on neighbour bitmasks.  It places vertices at
 positions ``0, 1, ...`` in turn, keeping the set of unplaced vertices as a
@@ -294,26 +296,21 @@ def _column_ties(ties: _TiePrefixes, rows, t: int, u: int) -> int | None:
     return guard & ~below
 
 
-def _extension_beats(ties: _TiePrefixes, rows, t: int, last: int) -> bool:
+def _extension_beats(ties: _TiePrefixes, rows, t: int, tied) -> bool:
     """``_beats_identity(rows, last)`` when ``ties`` are the tie prefixes of the canonical ``{0..t-1}``.
 
-    Adding vertices ``t..last`` changes no column below ``t``.  So the
-    prefixes of the search that avoid all of them are exactly those tie
-    prefixes, and none of their other candidates reads larger, which would
-    give the canonical prefix a larger code.  Each new vertex is compared at
-    every tie prefix at once (``_column_ties``).  If one reads larger
-    anywhere the identity is beaten; where one ties, the search goes on
-    below the prefix with it appended.  Unless ``{0..last}`` is the whole
-    graph, the prefixes entered there are recorded for ``ties.push``.
+    ``tied`` holds ``_column_ties(ties, rows, t, u)``, none of them None,
+    for the new vertices ``u = t..last``.  Adding them changes no column
+    below ``t``.  So the prefixes of the search that avoid all of them are
+    exactly those tie prefixes, and none of their other candidates reads
+    larger, which would give the canonical prefix a larger code.  Where a
+    new vertex ties, the search goes on below the prefix with it appended.
+    Unless ``{0..last}`` is the whole graph, the prefixes entered there are
+    recorded for ``ties.push``.
     """
     tree = ties.tree
     del tree[ties.count * _NODE.size :]
-    tied = []
-    for u in range(t, last + 1):
-        found = _column_ties(ties, rows, t, u)
-        if found is None:
-            return True
-        tied.append(found)
+    last = t + len(tied) - 1
     f = ties.field
     record = last + 1 < len(rows)
     perm = [0] * (last + 1)
@@ -420,17 +417,19 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
                     rows[v] |= 1 << t
                     deg[v] += 1
                 deg[t] = k
-                if feasible(t):
+                if feasible(t) and (found := _column_ties(ties, rows, min(t, base), t)) is not None:
                     if t < base:
-                        if not _extension_beats(ties, rows, t, t):
+                        if not _extension_beats(ties, rows, t, [found]):
                             ties.push(rows, t, sum(1 << v for v in range(t + 1) if deg[v] < d))
                             yield from extend(t + 1)
                             ties.pop()
-                    elif t + 1 < n:
-                        if _column_ties(ties, rows, base, t) is not None:
+                    else:
+                        tail.append(found)
+                        if t + 1 < n:
                             yield from extend(t + 1)
-                    elif not _extension_beats(ties, rows, base, t):
-                        yield Graph(n, tuple(rows))
+                        elif not _extension_beats(ties, rows, base, tail):
+                            yield Graph(n, tuple(rows))
+                        tail.pop()
                 for v in comb:
                     rows[v] &= ~(1 << t)
                     deg[v] -= 1
@@ -438,6 +437,7 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
                 deg[t] = 0
 
     base = max(1, n - TAIL)
+    tail = []  # _column_ties of the tail vertices placed so far
     ties = _tie_prefixes(rows, 1, 1)
     yield from extend(1)
 

@@ -43,9 +43,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
@@ -209,10 +206,6 @@ def _component_masks(g: Graph, allowed: int) -> list[int]:
         comps.append(comp)
         allowed &= ~comp
     return comps
-
-
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    return [frozenset(_bits(comp)) for comp in _component_masks(g, (1 << g.n) - 1)]
 
 
 def articulation_points(g: Graph) -> list[CutVertexWitness]:
@@ -394,14 +387,6 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return assign(0)
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Graph with vertex ``v`` renamed to ``perm[v]``."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -474,26 +459,3 @@ def from_graph6(text: str) -> Graph:
             idx += 1
     return Graph(n, tuple(rows))
 
-
-def to_edge_list_text(g: Graph) -> str:
-    """Human-readable alternative format: ``n=<count>`` header, one edge per line."""
-    lines = [f"n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list_text(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError('edge list text must start with an "n=<count>" header')
-    try:
-        n = int(lines[0][2:])
-    except ValueError as exc:
-        raise ValueError("bad vertex count in edge list header") from exc
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return graph_from_edges(n, edges)

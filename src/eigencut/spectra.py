@@ -21,11 +21,10 @@ ROOT_INTERVAL = 1e-12
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Adjacency spectrum sorted non-increasing, with the usual extracts."""
+    """Adjacency spectrum sorted non-increasing, and lambda2 (None below two vertices)."""
 
     eigenvalues: tuple[float, ...]
     lambda2: float | None
-    lambda_abs: float | None
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,7 @@ def spectrum(g: Graph) -> SpectralSummary:
     # eigenvalues_symmetric would only repeat it.
     ev = np.linalg.eigvalsh(adjacency_matrix(g))[::-1].tolist()
     lam2 = ev[1] if g.n >= 2 else None
-    lam_abs = max(abs(ev[1]), abs(ev[-1])) if g.n >= 2 else None
-    return SpectralSummary(tuple(ev), lam2, lam_abs)
+    return SpectralSummary(tuple(ev), lam2)
 
 
 def quotient(g: Graph, p: VertexPartition) -> np.ndarray:

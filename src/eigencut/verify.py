@@ -102,6 +102,8 @@ def _generate(d: int, n_max: int, mode: str, samples: int | None, seed: int | No
             raise ValueError("random mode needs samples and seed")
         if samples < 1:
             raise ValueError("samples must be positive")
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
         rng = random.Random(seed)
         for _ in range(samples):
             n = rng.choice(orders)

@@ -50,6 +50,12 @@ def adj_sets(n, edges):
     return adj
 
 
+def relabel_edges(edges, perm):
+    """The edges with vertex ``v`` renamed to ``perm[v]``."""
+    assert sorted(perm) == list(range(len(perm))), "perm must be a permutation of 0..n-1"
+    return [(perm[u], perm[v]) for u, v in edges]
+
+
 def reachable(adj, start, skip=None):
     seen = {start}
     stack = [start]

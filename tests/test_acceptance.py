@@ -286,4 +286,4 @@ def test_criterion_10_csv_determinism_across_workers(tmp_path, capsys):
         outputs.append(csv_path.read_bytes())
     assert outputs[0] == outputs[1]
     capsys.readouterr()
-    print("\nCRITERION 10 (byte-identical CSV across worker counts): PASS")
+    print("\nCRITERION 10 (byte-identical CSV across repeated runs): PASS")

@@ -133,7 +133,7 @@ class TestVerify:
         assert len(payload["equality_cases"]) == 1
         assert csv_path.read_text().startswith("graph6,n,d,witnesses")
 
-    def test_random_deterministic_across_workers(self, capsys, tmp_path):
+    def test_random_deterministic_across_runs(self, capsys, tmp_path):
         outputs = []
         for run in ("1", "2"):
             csv_path = tmp_path / f"rec{run}.csv"
@@ -157,6 +157,16 @@ class TestVerify:
             )
             assert code == 2 and out == ""
             assert err == "error: samples must be positive\n"
+
+    def test_negative_seed_rejected(self, capsys):
+        # random.Random seeds with |seed|, so -7 would repeat the run of 7.
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--d", "3", "--n-max", "10",
+            "--mode", "random", "--samples", "5", "--seed", "-7",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: seed must be non-negative\n"
 
     def test_no_admissible_order_rejected(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--d", "4", "--n-max", "4")

@@ -73,7 +73,6 @@ class TestEigenvalues:
     def test_spectrum_summary(self):
         s = spectrum(complete(4))
         assert s.lambda2 == pytest.approx(-1)
-        assert s.lambda_abs == pytest.approx(1)
         k33 = cycles_union_complement([3, 3])
         s = spectrum(k33)
         assert np.allclose(s.eigenvalues, [3, 0, 0, 0, 0, -3], atol=1e-9)
