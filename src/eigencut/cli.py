@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import extremal, verify
@@ -24,7 +25,7 @@ def _fmt(x: float) -> str:
 
 def _cmd_build(args) -> int:
     composition = None
-    if args.cycles:
+    if args.cycles is not None:
         try:
             composition = [int(part) for part in args.cycles.split(",")]
         except ValueError:
@@ -92,18 +93,26 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_verify(args) -> int:
     # open the CSV before the sweep, so an unwritable path fails at once, but
-    # empty it only after the sweep, so a failed sweep leaves it as it was
-    with open(args.csv, "a") if args.csv else contextlib.nullcontext() as fh:
-        report, records = verify.verify_theorem(
-            args.d,
-            args.n_max,
-            mode=args.mode,
-            samples=args.samples,
-            seed=args.seed,
-        )
-        if args.csv:
-            fh.truncate(0)
-            fh.write(verify.records_to_csv(records))
+    # empty it only after the sweep, so a failed sweep leaves it as it was,
+    # and remove it again if this run created it
+    created = bool(args.csv) and not os.path.exists(args.csv)
+    try:
+        with open(args.csv, "a") if args.csv else contextlib.nullcontext() as fh:
+            report, records = verify.verify_theorem(
+                args.d,
+                args.n_max,
+                mode=args.mode,
+                samples=args.samples,
+                seed=args.seed,
+            )
+            if args.csv:
+                fh.truncate(0)
+                fh.write(verify.records_to_csv(records))
+    except BaseException:
+        if created:
+            with contextlib.suppress(FileNotFoundError):  # the open itself may have failed
+                os.remove(args.csv)
+        raise
     sys.stdout.write(report.to_json() + "\n")
     if not report.cut_vertex_graphs:
         n = report.graphs_checked

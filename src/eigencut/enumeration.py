@@ -40,13 +40,17 @@ isomorphism class, using vertex augmentation with a canonical-code prune:
   prefixes where ``t`` ties.  Each accepted partial thus hands its search
   on to its children, as orderly generation hands on earlier work;
 * the last ``TAIL`` vertices, from ``base = n - TAIL`` on, are nearly
-  forced, so a search there prunes little.  They get only the cheap half
-  of the test: one that reads larger under a tie prefix of ``{0..base-1}``
-  beats the identity in every completion.  The completed graph gets one
-  full test, reusing those prefixes with every tail vertex as a new one
-  (adding several vertices changes no column below ``base`` either), and
-  reusing each tail vertex's cheap-check result rather than reading its
-  column again, so the same graphs come out in the same order.
+  forced, so a search there prunes little.  One checkpoint rule covers
+  every vertex.  Each first gets the cheap half of the test: one that
+  reads larger under a tie prefix of the last pushed partial beats the
+  identity in every completion.  A vertex from ``base`` to ``n - 2``
+  stops there and defers the rest.  Any other vertex settles every vertex
+  placed since the last push with one full test, reusing the pushed
+  prefixes with each of them as a new vertex (adding several vertices
+  changes no column below the first either) and reusing their cheap-check
+  results; it then yields the completed graph or pushes.  So a vertex
+  below ``base`` is tested alone and the completed graph once over its
+  tail, and the same graphs come out in the same order.
   ``TAIL = 4`` was faster on cubic ``n <= 14`` and quartic ``n <= 11``
   than 3 or 5.
 
@@ -161,18 +165,19 @@ class _TiePrefixes:
     * ``ones`` has bit 0 of every field set.  The top bit of a field is a
       guard that no column reaches.
 
-    ``push`` adopts the recorded prefixes of an accepted extension and
-    ``pop`` returns to its parent, so the state follows the enumerator's
-    depth-first path.  ``digits[i]`` is a field with bit ``i`` set, written
-    as a binary string, and ``idstr[s]`` identity column ``s`` likewise.
+    ``t`` is the order of the partial the prefixes belong to, so a new
+    vertex is ``t`` or later.  ``push`` adopts the recorded prefixes of an
+    accepted extension and ``pop`` returns to its parent, one vertex
+    shorter, so the state follows the enumerator's depth-first path.
+    ``digits[i]`` is a field with bit ``i`` set, written as a binary string.
     """
 
-    __slots__ = ("field", "digits", "idstr", "tree", "count", "cols", "ident", "full", "ones", "stack")
+    __slots__ = ("field", "digits", "t", "tree", "count", "cols", "ident", "full", "ones", "stack")
 
     def __init__(self, n: int):
         self.field = n + 1
         self.digits = [format(1 << i, f"0{n + 1}b") for i in range(n)]
-        self.idstr = []
+        self.t = 0
         self.tree = bytearray()
         self.count = 0
         self.cols = [0] * n
@@ -184,17 +189,14 @@ class _TiePrefixes:
 
         ``keep`` is the bitmask of vertices that later vertices may join.
         """
-        f, base, tree, digits, idstr = self.field, self.count, self.tree, self.digits, self.idstr
+        f, base, tree, digits = self.field, self.count, self.tree, self.digits
         count = len(tree) // _NODE.size
         m = count - base
         zero = "0" * f
-        while len(idstr) <= t:
-            s = len(idstr)
-            idstr.append(format(rows[s] & ((1 << s) - 1), f"0{f}b"))
         # The new fields are written out as binary strings and parsed once;
         # ORing them into the integers one by one would take a pass over an
         # integer per prefix, quadratic in the prefixes recorded.
-        identparts = idstr[: t + 1] + [zero]
+        identparts = [format(rows[s] & ((1 << s) - 1), f"0{f}b") for s in range(t + 1)] + [zero]
         fullparts = [zero] * (t + 1) + [digits[0]]
         ident, full = [], []
         # runs[v]: where v sits, as (first field, end, field), highest first
@@ -234,15 +236,16 @@ class _TiePrefixes:
                 pieces.append(zero * hi)
                 self.cols[v] |= int("".join(pieces), 2) << shift
         col = rows[t] & ((1 << t) - 1)
-        self.stack.append((base, self.full, keep, col, t))
+        self.stack.append((base, self.full, keep, col))
         self.ident |= col * self.full | int("".join(ident), 2) << shift
         self.full = int("".join(full), 2) << shift
         self.ones |= ((1 << (m * f)) - 1) // ((1 << f) - 1) << shift
         self.count = count
+        self.t = t + 1
 
     def pop(self) -> None:
         """Return to the prefixes of the partial before the last ``push``."""
-        base, full, keep, col, t = self.stack.pop()
+        base, full, keep, col = self.stack.pop()
         mask = (1 << (base * self.field)) - 1
         cols = self.cols
         while keep:
@@ -254,8 +257,8 @@ class _TiePrefixes:
         self.full = full
         self.ones &= mask
         self.count = base
+        self.t -= 1
         del self.tree[base * _NODE.size :]
-        del self.idstr[t:]
 
 
 def _tie_prefixes(rows, t: int, keep: int) -> _TiePrefixes | None:
@@ -270,13 +273,14 @@ def _tie_prefixes(rows, t: int, keep: int) -> _TiePrefixes | None:
     return ties
 
 
-def _column_ties(ties: _TiePrefixes, rows, t: int, u: int) -> int | None:
-    """The guard bits of the tie prefixes of ``{0..t-1}`` where ``u``'s column ties, or None if it reads larger at one.
+def _column_ties(ties: _TiePrefixes, rows, u: int) -> int | None:
+    """The guard bits of the tie prefixes of ``{0..ties.t-1}`` where ``u``'s column ties, or None if it reads larger at one.
 
     At every prefix at once, ``u``'s column is compared with the identity
     column of the prefix's length by the lowest differing bit, as in
     ``_swap_beats``.
     """
+    t = ties.t
     mask = (1 << t) - 1
     cols = ties.cols
     x = 0  # u's column read under every tie prefix, one field each
@@ -296,19 +300,19 @@ def _column_ties(ties: _TiePrefixes, rows, t: int, u: int) -> int | None:
     return guard & ~below
 
 
-def _extension_beats(ties: _TiePrefixes, rows, t: int, tied) -> bool:
-    """``_beats_identity(rows, last)`` when ``ties`` are the tie prefixes of the canonical ``{0..t-1}``.
+def _extension_beats(ties: _TiePrefixes, rows, tied) -> bool:
+    """``_beats_identity(rows, last)`` when ``ties`` are the tie prefixes of the canonical ``{0..ties.t-1}``.
 
-    ``tied`` holds ``_column_ties(ties, rows, t, u)``, none of them None,
-    for the new vertices ``u = t..last``.  Adding them changes no column
-    below ``t``.  So the prefixes of the search that avoid all of them are
-    exactly those tie prefixes, and none of their other candidates reads
-    larger, which would give the canonical prefix a larger code.  Where a
-    new vertex ties, the search goes on below the prefix with it appended.
-    Unless ``{0..last}`` is the whole graph, the prefixes entered there are
-    recorded for ``ties.push``.
+    ``tied`` holds ``_column_ties(ties, rows, u)``, none of them None, for
+    the new vertices ``u = t..last``, where ``t = ties.t``.  Adding them
+    changes no column below ``t``.  So the prefixes of the search that
+    avoid all of them are exactly those tie prefixes, and none of their
+    other candidates reads larger, which would give the canonical prefix a
+    larger code.  Where a new vertex ties, the search goes on below the
+    prefix with it appended.  Unless ``{0..last}`` is the whole graph, the
+    prefixes entered there are recorded for ``ties.push``.
     """
-    tree = ties.tree
+    t, tree = ties.t, ties.tree
     del tree[ties.count * _NODE.size :]
     last = t + len(tied) - 1
     f = ties.field
@@ -370,13 +374,12 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
     """
     _check_order(n, d)
     rows = [0] * n
-    deg = [0] * n
 
     def feasible(t: int) -> bool:
         m = n - 1 - t
         total_need = 0
         for v in range(t + 1):
-            need = d - deg[v]
+            need = d - rows[v].bit_count()
             if need > m:
                 return False
             total_need += need
@@ -384,19 +387,19 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
             return total_need == 0
         if total_need == 0:
             return False  # nothing left for future vertices to attach to
-        if (m * d - total_need) % 2:
-            return False
+        # m*d - total_need = n*d - 2*(t+1)*d + 2*(edges placed) is even, since n*d is
         if total_need > m * min(d, t + 1):
             return False
         if m * d - total_need > m * (m - 1):
             return False  # the future vertices cannot place that many edges among themselves
         return True
 
-    def extend(t: int) -> Iterator[Graph]:
+    def extend(t: int, tied: list) -> Iterator[Graph]:
+        # tied: _column_ties of the vertices placed since the last push
         if t == n:
             yield Graph(n, tuple(rows))
             return
-        elig = [v for v in range(t) if deg[v] < d]
+        elig = [v for v in range(t) if rows[v].bit_count() < d]
         if not elig:
             return
         lowest, others = elig[0], elig[1:]
@@ -415,31 +418,23 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
                 rows[t] = col
                 for v in comb:
                     rows[v] |= 1 << t
-                    deg[v] += 1
-                deg[t] = k
-                if feasible(t) and (found := _column_ties(ties, rows, min(t, base), t)) is not None:
-                    if t < base:
-                        if not _extension_beats(ties, rows, t, [found]):
-                            ties.push(rows, t, sum(1 << v for v in range(t + 1) if deg[v] < d))
-                            yield from extend(t + 1)
-                            ties.pop()
-                    else:
-                        tail.append(found)
-                        if t + 1 < n:
-                            yield from extend(t + 1)
-                        elif not _extension_beats(ties, rows, base, tail):
+                if feasible(t) and (found := _column_ties(ties, rows, t)) is not None:
+                    if base <= t < n - 1:
+                        yield from extend(t + 1, tied + [found])
+                    elif not _extension_beats(ties, rows, tied + [found]):
+                        if t + 1 == n:
                             yield Graph(n, tuple(rows))
-                        tail.pop()
+                        else:
+                            ties.push(rows, t, sum(1 << v for v in range(t + 1) if rows[v].bit_count() < d))
+                            yield from extend(t + 1, [])
+                            ties.pop()
                 for v in comb:
                     rows[v] &= ~(1 << t)
-                    deg[v] -= 1
                 rows[t] = 0
-                deg[t] = 0
 
     base = max(1, n - TAIL)
-    tail = []  # _column_ties of the tail vertices placed so far
     ties = _tie_prefixes(rows, 1, 1)
-    yield from extend(1)
+    yield from extend(1, [])
 
 
 def random_connected_regular(n: int, d: int, seed: int) -> Graph:

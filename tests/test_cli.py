@@ -38,6 +38,11 @@ class TestBuild:
         assert code == 2 and out == ""
         assert err == "error: bad cycle composition '3,x'\n"
 
+    def test_empty_composition_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "build", "--d", "5", "--c", "3", "--cycles", "")
+        assert code == 2 and out == ""
+        assert err == "error: bad cycle composition ''\n"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "g.g6"
         code, out, _ = run_cli(capsys, "build", "--d", "4", "--c", "2", "--out", str(target))
@@ -203,17 +208,19 @@ class TestVerify:
         assert code == 2 and out == "" and err.startswith("error: ")
         assert calls == []
 
+    USAGE_ERRORS = [
+        ("--d", "3", "--n-max", "2"),
+        ("--d", "2", "--n-max", "10"),
+        ("--d", "4", "--n-max", "4"),
+        ("--d", "3", "--n-max", "10", "--samples", "5", "--seed", "1"),
+        ("--d", "5", "--n-max", "16", "--mode", "random"),
+        ("--d", "3", "--n-max", "10", "--mode", "random", "--samples", "0", "--seed", "1"),
+    ]
+
     def test_usage_error_keeps_existing_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "records.csv"
         kept = b"graph6,n,d,witnesses\nkept bytes\n"
-        for argv in [
-            ("--d", "3", "--n-max", "2"),
-            ("--d", "2", "--n-max", "10"),
-            ("--d", "4", "--n-max", "4"),
-            ("--d", "3", "--n-max", "10", "--samples", "5", "--seed", "1"),
-            ("--d", "5", "--n-max", "16", "--mode", "random"),
-            ("--d", "3", "--n-max", "10", "--mode", "random", "--samples", "0", "--seed", "1"),
-        ]:
+        for argv in self.USAGE_ERRORS:
             csv_path.write_bytes(kept)
             code, out, err = run_cli(capsys, "verify", *argv, "--csv", str(csv_path))
             assert code == 2 and out == "" and err.startswith("error: "), argv
@@ -229,6 +236,22 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--d", "3", "--n-max", "10", "--csv", str(csv_path))
         assert code == 2 and out == "" and err.startswith("error: ")
         assert csv_path.read_bytes() == b"kept bytes\n"
+
+    def test_failed_run_creates_no_csv(self, capsys, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("sampler budget spent")
+
+        csv_path = tmp_path / "new.csv"
+
+        def fails_without_file(argv):
+            code, out, err = run_cli(capsys, "verify", *argv, "--csv", str(csv_path))
+            assert code == 2 and out == "" and err.startswith("error: "), argv
+            assert not csv_path.exists(), argv
+
+        for argv in self.USAGE_ERRORS:
+            fails_without_file(argv)
+        monkeypatch.setattr("eigencut.verify.verify_theorem", failing)
+        fails_without_file(("--d", "3", "--n-max", "10"))
 
     def test_csv_replaces_existing_file(self, capsys, tmp_path):
         fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"

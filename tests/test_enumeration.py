@@ -63,10 +63,10 @@ def _labelled_graphs(n, d):
     }
 
 
-def _extension_test(ties, rows, t, last):
-    """The enumerator's test of ``{0..last}`` over the tie prefixes of ``{0..t-1}``: the cheap check of each new vertex, then the search."""
-    tied = [_column_ties(ties, rows, t, u) for u in range(t, last + 1)]
-    return None in tied or _extension_beats(ties, rows, t, tied)
+def _extension_test(ties, rows, last):
+    """The enumerator's test of ``{0..last}`` over the tie prefixes of ``{0..ties.t-1}``: the cheap check of each new vertex, then the search."""
+    tied = [_column_ties(ties, rows, u) for u in range(ties.t, last + 1)]
+    return None in tied or _extension_beats(ties, rows, tied)
 
 
 def _prefixes(tree):
@@ -147,7 +147,9 @@ class TestEnumerate:
 
     def test_stream_digests_pinned(self):
         # CSV byte-identity rests on the canonical labelling, so any change
-        # to the emitted labelled graphs must show here.
+        # to the emitted labelled graphs must show here.  The orders 3..10
+        # cover n <= 5, where every vertex after the first is in the tail,
+        # and the dense degrees; K9 and K10 are left out for their time.
         for n, d, count, digest in [
             (12, 3, 85, "b27808d206fb74dbad61f0779dc35088fbacbec680e03104c7eea056eff05bdc"),
             (10, 4, 59, "3b543b832ca643d4ce4ac2e2dffedbb2b2ff3da8976b16d467b3e1af57c99c43"),
@@ -157,6 +159,31 @@ class TestEnumerate:
             (10, 5, 60, "9658bb7612dc0ea3af261023a1c14a74802d6af7404d028cb5dbdb9a371c5d68"),
             (11, 6, 266, "bac12a6d235321b273305792bf89725928b7b1bf3f51382c6729341c5e23df8e"),
             (10, 7, 5, "d22063cd6cadff7f8494bd227f581f90719f285d9358ff1fa04f66b66e202bb4"),
+            (3, 2, 1, "4a469b3ce3caaad469f8c97e9176aacbe84216672889aa70c62b37f62e7aa427"),
+            (4, 2, 1, "55f5520007c809c88fb73e01ab6a1c1dac3eb0e419052234bd07e2c3640ea2da"),
+            (4, 3, 1, "d65ffb1d8d01ba8a6be14162941989d6f211d5c778d7f4fe75935f77dd1cadbe"),
+            (5, 2, 1, "7b2ce925a5b403cf4d18985cf9896e16b5d0092ba163eb996080d2f58b86fcf1"),
+            (5, 4, 1, "41ea650d4b1c11143ca7ec83c65a5e6be2adb8559eea320bbeface2e045b0773"),
+            (6, 2, 1, "fc737d1af082e6ea37ee563cbaebeb5d5e8765f90391a82935c9fdb67a6c4f03"),
+            (6, 3, 2, "a618da7085538c2e254bb4c4b0bf8511c6adbac1d8f56fc61d48b97a5439e9fd"),
+            (6, 4, 1, "56c08aba755802f3d1add2f0adfe57fe2338dc179f7de2d46477981f9630ca5c"),
+            (6, 5, 1, "e121f3992397cffbc3605e987622659508b857c1b5229ea8c37f819d76ca0ce2"),
+            (7, 2, 1, "967d7d8f2d8366cfe96e19aabcb47065ca9d9e747f68936d723c918225eda8e4"),
+            (7, 4, 2, "cf75d895c0cba05a91f7416b7b0ece64b700c20f8e24568a2aebce9cf06c59fa"),
+            (7, 6, 1, "d5cdc270ca85b7f3e6399004bf653ac3214578f2213815b940ca8ea74b5ae91e"),
+            (8, 2, 1, "905fd6ab38fc0b718118b7f99a63f9d572ff2a63d79b421cc285c2fef462af5b"),
+            (8, 3, 5, "33fffbead44831b4107cfb1be7fda35d7344e4f984726ef81cc4fddc3805bf2f"),
+            (8, 4, 6, "924f8366e8b25bd47a86a21981039c6fcbecf51c27a905decf09646137dd301e"),
+            (8, 5, 3, "2255c3b60e245e0747240a051e883586838b085307c53fbb9260c4b9887e304a"),
+            (8, 6, 1, "950042758568cac8392882983ffb107f1629cae4856b44ac184624eac6d57f29"),
+            (8, 7, 1, "34fff80f29e6e5db50f4bf2f96090017e56e96e92f2c76f3ef2c52c4c11bab33"),
+            (9, 2, 1, "c91ba583e4ece38f3efd9e1001a19c84e63afe4d7ac018510add540b6f90cd96"),
+            (9, 4, 16, "50eba975f204dd0cb54ac7b2a6611b5bfa75dff4a80a2c5d0b92456dc1445bda"),
+            (9, 6, 4, "a803dbf7a650daf9f1bc79b8341921a315ad56de5ae25c11565ea8298078486c"),
+            (10, 2, 1, "279c9445325d74af950c4f68d1ef6c1fcfa51fd9a5980da8188f05a1b0741c23"),
+            (10, 3, 19, "12d132db550e8e86a430277c1b67c4050b21ea9e288e401d4e08aee1d2ffc759"),
+            (10, 6, 21, "338f7f97414f5903335376c3f37c7b703e857165a620091a03fb35b43014f378"),
+            (10, 8, 1, "62f452f7a9192b64969436db8503f14476e22cc5e56bfaaeb3d962c342b9fed2"),
         ]:
             stream = [to_graph6(g) for g in enumerate_connected_regular(n, d)]
             assert len(stream) == count
@@ -211,7 +238,7 @@ class TestEnumerate:
                 ident = [rows[len(prefix)] >> i & 1 for i in range(len(prefix))]
                 for u in set(range(t)) - set(prefix):
                     assert [rows[u] >> p & 1 for p in prefix] <= ident
-            assert _extension_test(ties, rows, t, t) == _beats_identity(rows, t) == (code < top)
+            assert _extension_test(ties, rows, t) == _beats_identity(rows, t) == (code < top)
         assert reused == 1308
 
     def test_tail_test_matches_max_code_oracle(self):
@@ -231,9 +258,9 @@ class TestEnumerate:
                 if ties is None:
                     continue
                 starts += 1
-                assert _extension_test(ties, rows, t, n - 1) == (code < top)
+                assert _extension_test(ties, rows, n - 1) == (code < top)
                 for u in range(t, n):
-                    if _column_ties(ties, rows, t, u) is None:
+                    if _column_ties(ties, rows, u) is None:
                         rejected += 1
                         assert code < top
         assert (starts, rejected) == (91599, 154421)
@@ -250,10 +277,11 @@ class TestEnumerate:
         original_test, original_check = enumeration._extension_beats, enumeration._column_ties
         verdicts = Counter()
 
-        def checked_test(ties, rows, t, tied):
+        def checked_test(ties, rows, tied):
+            t = ties.t
             last = t + len(tied) - 1
-            assert tied == [original_check(ties, rows, t, u) for u in range(t, last + 1)]
-            verdict = original_test(ties, rows, t, tied)
+            assert tied == [original_check(ties, rows, u) for u in range(t, last + 1)]
+            verdict = original_test(ties, rows, tied)
             assert verdict == _beats_identity(rows, last)
             verdicts["tail" if t < last else "one vertex", verdict] += 1
             if not verdict and last + 1 < len(rows):
@@ -261,8 +289,8 @@ class TestEnumerate:
                 assert sorted(_prefixes(ties.tree)) == sorted(_prefixes(scratch.tree))
             return verdict
 
-        def checked_check(ties, rows, t, u):
-            tied = original_check(ties, rows, t, u)
+        def checked_check(ties, rows, u):
+            tied = original_check(ties, rows, u)
             if tied is None:
                 verdicts["cheap rejections"] += 1
                 assert _beats_identity(rows, u)
@@ -308,10 +336,10 @@ class TestEnumerate:
         # leaves 304 and 228.
         calls = 0
 
-        def counted(ties, rows, t, tied):
+        def counted(ties, rows, tied):
             nonlocal calls
             calls += 1
-            return _extension_beats(ties, rows, t, tied)
+            return _extension_beats(ties, rows, tied)
 
         monkeypatch.setattr(enumeration, "_extension_beats", counted)
         for n, d, count, expected in [(12, 3, 85, 304), (10, 4, 59, 228)]:
