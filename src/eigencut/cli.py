@@ -32,7 +32,7 @@ def _cmd_build(args) -> int:
             raise ValueError(f"bad cycle composition {args.cycles!r}") from None
     g = extremal.build_extremal(args.d, args.c, composition)
     line = to_graph6(g) + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(line)
     else:
@@ -41,7 +41,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.infile and args.infile != "-":
+    if args.infile is not None and args.infile != "-":
         with open(args.infile) as fh:
             text = fh.read()
     else:
@@ -95,9 +95,9 @@ def _cmd_verify(args) -> int:
     # open the CSV before the sweep, so an unwritable path fails at once, but
     # empty it only after the sweep, so a failed sweep leaves it as it was,
     # and remove it again if this run created it
-    created = bool(args.csv) and not os.path.exists(args.csv)
+    created = args.csv is not None and not os.path.exists(args.csv)
     try:
-        with open(args.csv, "a") if args.csv else contextlib.nullcontext() as fh:
+        with contextlib.nullcontext() if args.csv is None else open(args.csv, "a") as fh:
             report, records = verify.verify_theorem(
                 args.d,
                 args.n_max,
@@ -105,7 +105,7 @@ def _cmd_verify(args) -> int:
                 samples=args.samples,
                 seed=args.seed,
             )
-            if args.csv:
+            if fh is not None:
                 fh.truncate(0)
                 fh.write(verify.records_to_csv(records))
     except BaseException:

@@ -1,12 +1,15 @@
 """Extremal regular graphs with a cut vertex, and their eigenvalue thresholds.
 
 For degree ``d`` and branch degree ``c`` (the number of edges a cut vertex
-sends into one side) there is a unique-minimizer family of connected
-d-regular graphs built as a sequential join of cliques, matching
-complements, and cycle complements.  The second-largest adjacency eigenvalue
-of each family member is the largest root of a small closed-form
-polynomial; the minimum over admissible ``c`` is the sharp threshold below
-which a d-regular graph cannot have a cut vertex.
+sends into one side) there is a family of connected d-regular graphs built
+as a sequential join of cliques, matching complements, and cycle
+complements, one member per choice of cycle lengths.  The second-largest
+adjacency eigenvalue of every member is the largest root of the same small
+closed-form polynomial; the minimum over admissible ``c`` is the sharp
+threshold below which a d-regular graph cannot have a cut vertex.  One
+graph attains the threshold for ``d <= 12`` and for every even ``d``.  For
+odd ``d >= 13`` its family has several members, one per partition of the
+cycle block's order into cycles (2 at ``d = 13``), and all of them attain it.
 """
 
 from __future__ import annotations
@@ -215,7 +218,11 @@ def optimal_branch(d: int) -> int:
 
 
 def threshold(d: int) -> ThresholdResult:
-    """Largest lambda2 still forcing 2-connectedness (up to the one extremal graph)."""
+    """Largest lambda2 still forcing 2-connectedness, with the default-composition graph attaining it.
+
+    For odd ``d >= 13`` the other members of that graph's family attain it
+    too (module docstring).
+    """
     c_star = optimal_branch(d)
     poly = lambda2_polynomial(d, c_star)
     return ThresholdResult(d, c_star, lambda2_value(d, c_star), poly, build_extremal(d, c_star))

@@ -2,9 +2,13 @@
 cut-vertex eigenvalue thresholds, expansion bounds, and prior bounds.
 
 The central check, one sweep: every connected d-regular graph with a cut
-vertex has lambda2 at least the degree-d threshold, with equality only for
-the one extremal graph, and at least the bound ``lambda2_value(d, c)`` of
-each normalized branch degree c at each of its cut vertices.  Exhaustive
+vertex has lambda2 at least the degree-d threshold, and at least the bound
+``lambda2_value(d, c)`` of each normalized branch degree c at each of its
+cut vertices.  An equality case must be isomorphic to
+``threshold(d).extremal_graph``.  That graph is the only one at the
+threshold for d <= 12 and every even d.  For odd d >= 13 each cycle
+composition of its family attains the threshold too (2 graphs at d = 13),
+and the sweep still compares only with the default composition.  Exhaustive
 mode walks every isomorphism class up to a given order; random mode samples
 the pairing model (``samples`` graphs from ``seed``, options that exhaustive
 mode rejects) and asserts only the strict side of the threshold (a sample
@@ -135,9 +139,9 @@ def verify_theorem(
     """Sweep generated graphs against the sharp threshold and the branch bounds.
 
     A counterexample is a cut-vertex graph strictly below the threshold, an
-    equality case not isomorphic to the extremal graph (equality is only
-    asserted in exhaustive mode), or a graph below the bound of one of its
-    own branch degrees: a witness (u, c) needs lambda2 at least
+    equality case not isomorphic to the default extremal graph (equality is
+    only asserted in exhaustive mode), or a graph below the bound of one of
+    its own branch degrees: a witness (u, c) needs lambda2 at least
     ``lambda2_value(d, c)``.  Each graph is listed at most once.  ``samples``
     and ``seed`` drive random mode and are rejected in exhaustive mode.
     """

@@ -210,3 +210,60 @@ def max_column_code(n, edges):
     codes = column_codes(n, edges)
     order = max(codes, key=codes.get)
     return codes[order], order
+
+
+def feasible(rows, n, d, t):
+    """Whether the partial on ``{0..t}`` (neighbour bitmasks ``rows``) can still become d-regular on n vertices.
+
+    The filter the regular enumerator applied to every candidate partial
+    before it generated only completable ones.
+    """
+    m = n - 1 - t
+    total_need = 0
+    for v in range(t + 1):
+        need = d - rows[v].bit_count()
+        if need > m:
+            return False
+        total_need += need
+    if m == 0:
+        return total_need == 0
+    if total_need == 0:
+        return False  # nothing left for future vertices to attach to
+    # m*d - total_need = n*d - 2*(t+1)*d + 2*(edges placed) is even, since n*d is
+    if total_need > m * min(d, t + 1):
+        return False
+    if m * d - total_need > m * (m - 1):
+        return False  # the future vertices cannot place that many edges among themselves
+    return True
+
+
+def completable_back_neighbourhoods(rows, t, d):
+    """The back-neighbourhoods of vertex t that ``feasible`` accepts, as sorted tuples.
+
+    They are drawn as the enumerator once drew them: each holds the lowest
+    vertex below t short of degree d and k - 1 more such vertices, k
+    ascending and then in lexicographic order, and leaves t needing at
+    most one edge per later vertex.
+    """
+    n = len(rows)
+    rows = list(rows)
+    elig = [v for v in range(t) if rows[v].bit_count() < d]
+    if not elig:
+        return []
+    lowest, others = elig[0], elig[1:]
+    rem = n - 1 - t
+    accepted = []
+    for k in range(1, min(d, t) + 1):
+        if d - k > rem:
+            continue
+        for rest in combinations(others, k - 1):
+            comb = (lowest,) + rest
+            rows[t] = sum(1 << v for v in comb)
+            for v in comb:
+                rows[v] |= 1 << t
+            if feasible(rows, n, d, t):
+                accepted.append(comb)
+            for v in comb:
+                rows[v] &= ~(1 << t)
+            rows[t] = 0
+    return accepted

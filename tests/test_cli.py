@@ -49,6 +49,13 @@ class TestBuild:
         assert code == 0 and out == ""
         assert from_graph6(target.read_text().strip()).n == 11
 
+    def test_empty_out_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "build", "--d", "4", "--c", "2", "--out", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSpectrum:
     def test_stdin_round_trip(self, capsys, monkeypatch, tmp_path):
@@ -84,6 +91,16 @@ class TestSpectrum:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["n"] == 3
+
+    def test_empty_in_rejected(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+        code, out, err = run_cli(capsys, "spectrum", "--in", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, err = run_cli(capsys, "spectrum", "--in", "-")
+        assert code == 0 and json.loads(out)["n"] == 4 and err == ""
 
 
 class TestThreshold:
@@ -252,6 +269,13 @@ class TestVerify:
             fails_without_file(argv)
         monkeypatch.setattr("eigencut.verify.verify_theorem", failing)
         fails_without_file(("--d", "3", "--n-max", "10"))
+
+    def test_empty_csv_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--n-max", "8", "--csv", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_replaces_existing_file(self, capsys, tmp_path):
         fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"

@@ -326,6 +326,33 @@ class TestEnumerate:
                 classes += 1
         assert classes == 17
 
+    def test_back_neighbourhoods_match_feasibility_oracle(self, monkeypatch):
+        # At every partial the enumerator reaches, the back-neighbourhoods it
+        # generates for the next vertex are, in order, exactly those the
+        # candidate loop with the feasibility filter accepts.  For (10, 9)
+        # the partials are the complete graphs on {0..t-1}, checked
+        # directly, since the canonicity search takes seconds there.
+        original = enumeration._back_neighbourhoods
+        partials = 0
+
+        def checked(rows, t, d):
+            nonlocal partials
+            partials += 1
+            got = [tuple(sorted(comb)) for comb in original(rows, t, d)]
+            assert got == oracles.completable_back_neighbourhoods(rows, t, d), (rows, t, d)
+            yield from got
+
+        monkeypatch.setattr(enumeration, "_back_neighbourhoods", checked)
+        cases = [(n, d) for n in range(1, 11) for d in range(n) if n * d % 2 == 0 and (n, d) != (10, 9)]
+        for n, d in cases + [(12, 3), (11, 4)]:
+            for g in enumerate_connected_regular(n, d):
+                assert is_regular(g) == d
+        assert (len(cases), partials) == (44, 4505)
+        for t in range(1, 10):
+            rows = [((1 << t) - 1) ^ (1 << v) for v in range(t)] + [0] * (10 - t)
+            expected = oracles.completable_back_neighbourhoods(rows, t, 9)
+            assert [tuple(sorted(comb)) for comb in original(rows, t, 9)] == expected == [tuple(range(t))]
+
     def test_canonicity_call_counts_pinned(self, monkeypatch):
         # The adjacent-swap rule settles most candidates before the max-code
         # test, which without it runs 22,584 and 13,584 times here; the parent
