@@ -74,7 +74,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_threshold(args) -> int:
-    ds = _parse_range(args.d_range) if args.d_range else [args.d]
+    ds = _parse_range(args.d_range) if args.d_range is not None else [args.d]
     if not ds:
         raise ValueError(f"empty degree range {args.d_range!r}")
     # every row is computed before the header, so bad input writes nothing

@@ -44,22 +44,25 @@ isomorphism class, using vertex augmentation with a canonical-code prune:
   the partials along its path and compares ``t``'s column under all of
   them with a few big-integer operations; the search runs only below the
   prefixes where ``t`` ties.  Each accepted partial thus hands its search
-  on to its children, as orderly generation hands on earlier work;
+  on to its children, as orderly generation hands on earlier work.  Each
+  level of the recursion holds its partial's prefixes as a value that no
+  deeper level changes, so nothing is undone on the way back up;
 * the last ``TAIL`` vertices, from ``base = n - TAIL`` on, are nearly
   forced, so a search there prunes little.  One checkpoint rule covers
   every vertex.  Each first gets the cheap half of the test: one that
-  reads larger under a tie prefix of the last pushed partial beats the
-  identity in every completion.  A vertex from ``base`` to ``n - 2``
-  stops there and defers the rest.  Any other vertex settles every vertex
-  placed since the last push with one full test, reusing the pushed
+  reads larger under a tie prefix of the last partial tested in full
+  beats the identity in every completion.  A vertex from ``base`` to
+  ``n - 2`` stops there and defers the rest.  Any other vertex settles
+  every vertex placed since that partial with one full test, reusing its
   prefixes with each of them as a new vertex (adding several vertices
   changes no column below the first either) and reusing their cheap-check
-  results; it then yields the completed graph or pushes.  So a vertex
-  below ``base`` is tested alone and the completed graph once over its
-  tail, and the same graphs come out in the same order.  That test tries
-  the tail from its last vertex down, which refutes a non-canonical graph
-  sooner.  ``TAIL = 4`` was faster on cubic ``n <= 14`` and quartic
-  ``n <= 11`` than 3 or 5.
+  results; it then yields the completed graph or builds the prefixes of
+  the new partial for the next level.  So a vertex below ``base`` is
+  tested alone and the completed graph once over its tail, and the same
+  graphs come out in the same order.  That test tries the tail from its
+  last vertex down, which refutes a non-canonical graph sooner.
+  ``TAIL = 4`` was faster on cubic ``n <= 14`` and quartic ``n <= 11``
+  than 3 or 5.
 
 The max-code test works on neighbour bitmasks.  It places vertices at
 positions ``0, 1, ...`` in turn, keeping the set of unplaced vertices as a
@@ -154,12 +157,12 @@ def _beats_identity(rows, t) -> bool:
 
 
 class _TiePrefixes:
-    """The tie prefixes of the canonical partials along the enumerator's path.
+    """The tie prefixes of one canonical partial on the enumerator's path.
 
     A tie prefix of the partial on ``{0..t-1}`` is a prefix ``perm[:s]``
     that its max-code search enters.  ``tree`` holds them as ``_NODE``
-    records; the first ``count`` belong to the deepest accepted partial, and
-    those past it were recorded by the test of its latest extension.
+    records; the first ``count`` belong to this partial, and those past it
+    were recorded by the test of its latest extension.
     Prefix ``k`` owns the ``field``-bit field ``k`` of the packed integers,
     whose bit ``i`` stands for position ``i``:
 
@@ -174,26 +177,22 @@ class _TiePrefixes:
       guard that no column reaches.
 
     ``t`` is the order of the partial the prefixes belong to, so a new
-    vertex is ``t`` or later.  ``push`` adopts the recorded prefixes of an
-    accepted extension and ``pop`` returns to its parent, one vertex
-    shorter, so the state follows the enumerator's depth-first path.
+    vertex is ``t`` or later.  An instance is never changed: ``push``
+    builds the prefixes of an accepted extension as a new one, so each
+    level of the enumerator's depth-first path keeps its own.  All levels
+    share one ``tree``, whose records past a level's ``count`` are
+    discarded when that level tests its next extension.
     ``digits[i]`` is a field with bit ``i`` set, written as a binary string.
     """
 
-    __slots__ = ("field", "digits", "t", "tree", "count", "cols", "ident", "full", "ones", "stack")
+    __slots__ = ("field", "digits", "t", "tree", "count", "cols", "ident", "full", "ones")
 
-    def __init__(self, n: int):
-        self.field = n + 1
-        self.digits = [format(1 << i, f"0{n + 1}b") for i in range(n)]
-        self.t = 0
-        self.tree = bytearray()
-        self.count = 0
-        self.cols = [0] * n
-        self.ident = self.full = self.ones = 0
-        self.stack = []
+    def __init__(self, field, digits, t, tree, count, cols, ident, full, ones):
+        self.field, self.digits, self.t, self.tree, self.count = field, digits, t, tree, count
+        self.cols, self.ident, self.full, self.ones = cols, ident, full, ones
 
-    def push(self, rows, t: int, keep: int) -> None:
-        """Adopt the prefixes recorded past ``count`` once the partial on ``{0..t}`` passed its test.
+    def push(self, rows, t: int, keep: int) -> _TiePrefixes:
+        """The prefixes of the partial on ``{0..t}``, which passed its test: these and those recorded past ``count``.
 
         ``keep`` is the bitmask of vertices that later vertices may join.
         """
@@ -206,7 +205,7 @@ class _TiePrefixes:
         # integer per prefix, quadratic in the prefixes recorded.
         identparts = [format(rows[s] & ((1 << s) - 1), f"0{f}b") for s in range(t + 1)] + [zero]
         fullparts = [zero] * (t + 1) + [digits[0]]
-        ident, full = [], []
+        newident, newfull = [], []
         # runs[v]: where v sits, as (first field, end, field), highest first
         runs = [[] if keep >> v & 1 else None for v in range(t + 1)]
         # A node's subtree is the run from it to its last child's subtree's
@@ -216,8 +215,8 @@ class _TiePrefixes:
         unpack, step = _NODE.unpack_from, _NODE.size
         for r in range(m - 1, -1, -1):
             a, v, s = unpack(tree, (base + r) * step)
-            ident.append(identparts[s])
-            full.append(fullparts[s])
+            newident.append(identparts[s])
+            newfull.append(fullparts[s])
             end = pend[s + 1] or r + 1
             pend[s + 1] = 0
             where = runs[v]
@@ -234,6 +233,7 @@ class _TiePrefixes:
                     if where is not None:
                         where.append((r, end, digits[s - 1]))
                     a, v, s = unpack(tree, a * step)
+        cols = self.cols[:]
         shift = base * f
         for v, found in enumerate(runs):
             if found:
@@ -242,43 +242,26 @@ class _TiePrefixes:
                     pieces += (zero * (hi - end), field * (end - first))
                     hi = first
                 pieces.append(zero * hi)
-                self.cols[v] |= int("".join(pieces), 2) << shift
+                cols[v] |= int("".join(pieces), 2) << shift
         col = rows[t] & ((1 << t) - 1)
-        self.stack.append((base, self.full, keep, col))
-        self.ident |= col * self.full | int("".join(ident), 2) << shift
-        self.full = int("".join(full), 2) << shift
-        self.ones |= ((1 << (m * f)) - 1) // ((1 << f) - 1) << shift
-        self.count = count
-        self.t = t + 1
-
-    def pop(self) -> None:
-        """Return to the prefixes of the partial before the last ``push``."""
-        base, full, keep, col = self.stack.pop()
-        mask = (1 << (base * self.field)) - 1
-        cols = self.cols
-        while keep:
-            low = keep & -keep
-            v = low.bit_length() - 1
-            cols[v] &= mask
-            keep ^= low
-        self.ident = (self.ident & mask) ^ col * full
-        self.full = full
-        self.ones &= mask
-        self.count = base
-        self.t -= 1
-        del self.tree[base * _NODE.size :]
+        ident = self.ident | col * self.full | int("".join(newident), 2) << shift
+        full = int("".join(newfull), 2) << shift
+        ones = self.ones | ((1 << (m * f)) - 1) // ((1 << f) - 1) << shift
+        return _TiePrefixes(f, digits, t + 1, tree, count, cols, ident, full, ones)
 
 
 def _tie_prefixes(rows, t: int, keep: int) -> _TiePrefixes | None:
     """The tie prefixes of the partial on ``{0..t-1}`` (``t >= 1``), or None if it is not canonical.
 
-    A search from scratch; ``keep`` is as for ``_TiePrefixes.push``.
+    A search from scratch, its prefixes pushed onto those of the empty
+    partial; ``keep`` is as for ``_TiePrefixes.push``.
     """
-    ties = _TiePrefixes(len(rows))
-    if _searcher(rows, t - 1, [0] * t, ties.tree)(0, (1 << t) - 1, -1):
+    n = len(rows)
+    tree = bytearray()
+    if _searcher(rows, t - 1, [0] * t, tree)(0, (1 << t) - 1, -1):
         return None
-    ties.push(rows, t - 1, keep)
-    return ties
+    digits = [format(1 << i, f"0{n + 1}b") for i in range(n)]
+    return _TiePrefixes(n + 1, digits, 0, tree, 0, [0] * n, 0, 0, 0).push(rows, t - 1, keep)
 
 
 def _column_ties(ties: _TiePrefixes, rows, u: int) -> int | None:
@@ -325,6 +308,7 @@ def _extension_beats(ties: _TiePrefixes, rows, tied) -> bool:
     27,813 over the cubic graphs on up to 14 vertices).
     """
     t, tree = ties.t, ties.tree
+    # the records past count are those of an earlier test here or of deeper levels
     del tree[ties.count * _NODE.size :]
     last = t + len(tied) - 1
     f = ties.field
@@ -421,8 +405,8 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
     _check_order(n, d)
     rows = [0] * n
 
-    def extend(t: int, tied: list) -> Iterator[Graph]:
-        # tied: _column_ties of the vertices placed since the last push
+    def extend(t: int, ties: _TiePrefixes, tied: list) -> Iterator[Graph]:
+        # ties: those of the last partial tested in full; tied: _column_ties of the vertices placed since
         if t == n:
             yield Graph(n, tuple(rows))
             return
@@ -439,21 +423,19 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
                 rows[v] |= bit
             if (found := _column_ties(ties, rows, t)) is not None:
                 if base <= t < n - 1:
-                    yield from extend(t + 1, tied + [found])
+                    yield from extend(t + 1, ties, tied + [found])
                 elif not _extension_beats(ties, rows, tied + [found]):
                     if t + 1 == n:
                         yield Graph(n, tuple(rows))
                     else:
-                        ties.push(rows, t, sum(1 << v for v in range(t + 1) if rows[v].bit_count() < d))
-                        yield from extend(t + 1, [])
-                        ties.pop()
+                        keep = sum(1 << v for v in range(t + 1) if rows[v].bit_count() < d)
+                        yield from extend(t + 1, ties.push(rows, t, keep), [])
             for v in comb:
                 rows[v] &= ~bit
             rows[t] = 0
 
     base = max(1, n - TAIL)
-    ties = _tie_prefixes(rows, 1, 1)
-    yield from extend(1, [])
+    yield from extend(1, _tie_prefixes(rows, 1, 1), [])
 
 
 def random_connected_regular(n: int, d: int, seed: int) -> Graph:

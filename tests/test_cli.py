@@ -137,7 +137,7 @@ class TestThreshold:
         assert err == "error: empty degree range '8..3'\n"
 
     def test_bad_range_rejected(self, capsys):
-        for text in ("3..", "a..4", "x"):
+        for text in ("3..", "a..4", "x", ""):
             code, out, err = run_cli(capsys, "threshold", "--d-range", text)
             assert code == 2 and out == ""
             assert err == f"error: bad degree range '{text}'\n"

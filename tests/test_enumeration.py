@@ -273,13 +273,31 @@ class TestEnumerate:
         # each completed graph over its tail, and a tail vertex that the
         # cheap check rejects makes the identity beaten already.  The
         # cheap-check results the test is handed equal a fresh read of each
-        # new column.
+        # new column.  Every call sees its level's prefixes as they were
+        # built, and their packed fields decode to the prefixes in the tree.
         original_test, original_check = enumeration._extension_beats, enumeration._column_ties
         verdicts = Counter()
+        seen = {}  # id -> (ties, snapshot, prefixes); holding ties keeps its id unique
+
+        def check_ties(ties, rows, new):
+            tree = bytes(ties.tree[: ties.count * _NODE.size])
+            state = (ties.t, ties.count, tuple(ties.cols), ties.ident, ties.full, ties.ones, tree)
+            first = seen.setdefault(id(ties), (ties, state, _prefixes(tree)))
+            assert first[1] == state
+            t, f = ties.t, ties.field
+            below = [v for v in range(t) if any(rows[u] >> v & 1 for u in new)]
+            for k, prefix in enumerate(first[2]):
+                s = len(prefix)
+                field = [x >> (k * f) & ((1 << f) - 1) for x in (ties.full, ties.ident, ties.ones)]
+                assert field == [s == t, rows[s] & ((1 << s) - 1) if s < t else 0, 1]
+                for v in below:
+                    where = sum(1 << i for i, w in enumerate(prefix) if w == v)
+                    assert ties.cols[v] >> (k * f) & ((1 << f) - 1) == where
 
         def checked_test(ties, rows, tied):
             t = ties.t
             last = t + len(tied) - 1
+            check_ties(ties, rows, range(t, last + 1))
             assert tied == [original_check(ties, rows, u) for u in range(t, last + 1)]
             verdict = original_test(ties, rows, tied)
             assert verdict == _beats_identity(rows, last)
@@ -290,6 +308,7 @@ class TestEnumerate:
             return verdict
 
         def checked_check(ties, rows, u):
+            check_ties(ties, rows, [u])
             tied = original_check(ties, rows, u)
             if tied is None:
                 verdicts["cheap rejections"] += 1
