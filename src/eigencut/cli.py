@@ -80,11 +80,12 @@ def _cmd_threshold(args) -> int:
     # every row is computed before the header, so bad input writes nothing
     lines = ["d\tc_star\tthreshold\tpolynomial\n"]
     for d in ds:
-        thr = extremal.threshold(d)
-        coeffs = " ".join(_fmt(c) for c in thr.poly.coeffs)
-        lines.append(f"{d}\t{thr.c_star}\t{_fmt(thr.value)}\t{coeffs}\n")
+        # the threshold is the chain's last entry; no extremal graph is built
+        chain = extremal.monotonicity_chain(d)
+        c_star, value = chain[-1]
+        coeffs = " ".join(_fmt(c) for c in extremal.lambda2_polynomial(d, c_star).coeffs)
+        lines.append(f"{d}\t{c_star}\t{_fmt(value)}\t{coeffs}\n")
         if args.verbose:
-            chain = extremal.monotonicity_chain(d)
             for c, val in chain:
                 lines.append(f"# d={d} c={c} lambda2={_fmt(val)}\n")
     sys.stdout.write("".join(lines))

@@ -81,18 +81,39 @@ def lambda2_value(d: int, c: int) -> float:
     return largest_root(lambda2_polynomial(d, c), d - 1.0, float(d))
 
 
+def _cycle_branch(d: int, c: int) -> int:
+    """The branch degree, c or d-c, that is odd and at least 3; 0 if neither is."""
+    return next((k for k in (c, d - c) if k % 2 and k >= 3), 0)
+
+
+def _branch(d: int, k: int, composition) -> list[Graph]:
+    """Blocks of the branch the cut vertex sends ``k`` edges into, outer block first.
+
+    The last block is the cut vertex's k neighbours.  A matching complement
+    needs even order, so for odd ``k >= 3`` they form a cycle complement, and
+    for ``k = 1`` the one neighbour is a second cut vertex.
+    """
+    if k % 2 == 0:
+        return [complete(d + 1 - k), matching_complement(k)]
+    if k == 1:
+        return [complete(2), matching_complement(d - 1), complete(1)]
+    return [matching_complement(d + 2 - k), cycles_union_complement(composition)]
+
+
 @dataclass(frozen=True)
 class ExtremalSpec:
     """Parameters selecting one extremal construction.
 
-    ``composition`` lists the cycle lengths of the cycle-complement block;
-    it must be empty exactly when the construction has no such block.  Parity
-    bookkeeping (matching complements need even order):
-
-    * odd d, c in {1, d-1}: no cycle block,
-    * odd d, odd c in [3, d-2]: composition sums to c,
-    * odd d, even c in [2, d-3]: composition sums to d-c,
-    * even d: c even in [2, d-2], no cycle block.
+    The graph is two branches joined at a cut vertex, which sends ``c``
+    edges into one and ``d - c`` into the other (:func:`_branch`).  A branch
+    of even degree k has d+1 vertices: K_{d+1-k} joined to a matching
+    complement on k.  A branch of odd degree k has d+2: for k >= 3, a
+    matching complement on d+2-k joined to a cycle complement on k; for
+    k = 1, K_2, a matching complement on d-1 and one vertex in sequence, so
+    the graph has a bridge.  ``composition`` lists the cycle lengths of the
+    cycle complement: it sums to the odd branch degree of at least 3, and is
+    empty when there is none (even d, or c in {1, d-1}).  Even d needs
+    even c, since a branch B has even degree sum d|B| - k.
     """
 
     d: int
@@ -108,75 +129,36 @@ class ExtremalSpec:
             raise ValueError("branch degree must satisfy 1 <= c <= d-1")
         if any(k < 3 for k in self.composition):
             raise ValueError("cycle lengths must be at least 3")
-        if d % 2 == 0:
-            if c % 2:
-                raise ValueError("c must be even for even d")
-            if self.composition:
-                raise ValueError("even-degree construction takes no cycle composition")
-        elif c in (1, d - 1):
-            if self.composition:
-                raise ValueError("bridge construction takes no cycle composition")
-        else:
-            total = c if c % 2 else d - c
-            if sum(self.composition) != total:
-                raise ValueError(f"cycle composition must sum to {total}")
-
-    @staticmethod
-    def with_default_composition(d: int, c: int) -> "ExtremalSpec":
-        """Single-cycle composition where one is required."""
-        if d % 2 and c not in (1, d - 1):
-            total = c if c % 2 else d - c
-            return ExtremalSpec(d, c, (total,))
-        return ExtremalSpec(d, c)
+        if d % 2 == 0 and c % 2:
+            raise ValueError("c must be even for even d")
+        total = _cycle_branch(d, c)
+        if sum(self.composition) != total:
+            if not total:
+                raise ValueError("a construction without a cycle block takes no cycle composition")
+            raise ValueError(f"cycle composition must sum to {total}")
 
     def blocks(self) -> list[Graph]:
-        d, c = self.d, self.c
-        if d % 2 == 0:
-            return [
-                complete(d + 1 - c),
-                matching_complement(c),
-                complete(1),
-                matching_complement(d - c),
-                complete(c + 1),
-            ]
-        if c in (1, d - 1):
-            return [
-                complete(2),
-                matching_complement(d - 1),
-                complete(1),
-                complete(1),
-                matching_complement(d - 1),
-                complete(2),
-            ]
-        if c % 2:
-            return [
-                matching_complement(d + 2 - c),
-                cycles_union_complement(self.composition),
-                complete(1),
-                matching_complement(d - c),
-                complete(c + 1),
-            ]
-        return [
-            complete(d + 1 - c),
-            matching_complement(c),
-            complete(1),
-            cycles_union_complement(self.composition),
-            matching_complement(c + 2),
-        ]
+        """The two branches with the cut vertex between them, in labelling order."""
+        d, c, comp = self.d, self.c, self.composition
+        return _branch(d, c, comp) + [complete(1)] + _branch(d, d - c, comp)[::-1]
 
 
 def _resolve_spec(d: int, c: int, composition) -> ExtremalSpec:
+    """The spec for ``composition``, or the single-cycle default when it is None."""
     if composition is None:
-        return ExtremalSpec.with_default_composition(d, c)
+        total = _cycle_branch(d, c)
+        composition = (total,) if total else ()
     return ExtremalSpec(d, c, tuple(composition))
 
 
 def build_extremal(d: int, c: int, composition=None) -> Graph:
     """The extremal d-regular cut-vertex graph at branch degree ``c``.
 
-    Order is 2d+4 for odd d and 2d+3 for even d; the single-vertex block is a
-    cut vertex with branch degrees {c, d-c}.  ``composition=None`` selects
-    the single-cycle default.
+    Defined for odd d with 1 <= c <= d-1 and for even d with even
+    2 <= c <= d-2.  Order is 2d+4 for odd d and 2d+3 for even d.  The vertex
+    joining the two branches is a cut vertex with branch degrees {c, d-c};
+    it is the only one, except in the bridge graphs (c = 1 or d-1), whose
+    bridge has two.  ``composition=None`` selects the single-cycle default.
     """
     return sequential_join(_resolve_spec(d, c, composition).blocks())
 

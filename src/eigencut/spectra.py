@@ -90,11 +90,19 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return np.where(bits.view(np.bool_), 1.0, 0.0)
 
 
-def eigenvalues_symmetric(m) -> np.ndarray:
-    """All eigenvalues of a symmetric real matrix, sorted non-increasing."""
+def _square(m, tridiagonal: bool = False) -> np.ndarray:
+    """``m`` as a float array; raises unless it is square (and tridiagonal, if asked)."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if tridiagonal and (np.any(np.triu(a, 2)) or np.any(np.tril(a, -2))):
+        raise ValueError("matrix is not tridiagonal")
+    return a
+
+
+def eigenvalues_symmetric(m) -> np.ndarray:
+    """All eigenvalues of a symmetric real matrix, sorted non-increasing."""
+    a = _square(m)
     if a.size and np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigvalsh(a)[::-1]
@@ -141,15 +149,10 @@ def tridiagonal_reduce(m, d: float) -> np.ndarray:
     ``d``: diagonal ``d - super[i] - sub[i+1]``, shifted off-diagonals.
     The identity is similarity-based and does not need positive entries.
     """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    a = _square(m, tridiagonal=True)
     k = a.shape[0]
     if k < 2:
         raise ValueError("need at least a 2x2 matrix to reduce")
-    band = np.tri(k, k, 1) * np.tri(k, k, 1).T
-    if np.any(np.abs(a[band == 0]) > 0):
-        raise ValueError("matrix is not tridiagonal")
     sums = a.sum(axis=1)
     if np.max(np.abs(sums - d)) > ROW_SUM_TOL:
         raise ValueError(f"row sums must all equal {d}")
@@ -170,7 +173,7 @@ def tridiagonal_eigenvalues(m) -> np.ndarray:
     Such a matrix is diagonally similar to a symmetric one, so the spectrum is
     real; sorted non-increasing.
     """
-    a = np.asarray(m, dtype=float)
+    a = _square(m, tridiagonal=True)
     k = a.shape[0]
     if k == 1:
         return a[0, :1].copy()
@@ -185,9 +188,7 @@ def tridiagonal_eigenvalues(m) -> np.ndarray:
 
 def char_poly(m) -> Polynomial:
     """Characteristic polynomial det(xI - M) via the Faddeev-LeVerrier recurrence."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    a = _square(m)
     n = a.shape[0]
     coeffs = [1.0]
     work = np.zeros_like(a)

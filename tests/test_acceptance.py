@@ -260,7 +260,7 @@ def test_criterion_09_prior_bound_sharpness_rows():
     )
 
 
-def test_criterion_10_csv_determinism_across_workers(tmp_path, capsys):
+def test_criterion_10_csv_determinism_across_runs(tmp_path, capsys):
     outputs = []
     for run in ("1", "2"):
         csv_path = tmp_path / f"exh{run}.csv"

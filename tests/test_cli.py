@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from eigencut import from_graph6, is_isomorphic, is_regular, build_extremal
+from eigencut import build_extremal, extremal, from_graph6, is_isomorphic, is_regular
 from eigencut.cli import main
 
 
@@ -125,6 +125,17 @@ class TestThreshold:
         assert code == 0
         chain_lines = [ln for ln in out.splitlines() if ln.startswith("#")]
         assert len(chain_lines) == 3  # c = 1, 2, 3
+
+    def test_builds_no_graph(self, capsys, monkeypatch):
+        # the table prints polynomials and roots only, so no row may pay
+        # for an extremal graph
+        def refuse(*args):
+            raise AssertionError("threshold built an extremal graph")
+
+        monkeypatch.setattr(extremal, "build_extremal", refuse)
+        code, out, _ = run_cli(capsys, "threshold", "--d-range", "3..20", "--verbose")
+        assert code == 0
+        assert out.splitlines()[1] == "3\t1\t2.778457118\t1 0 -7 -2"
 
     def test_small_degree_rejected(self, capsys):
         for argv in (["--d", "2"], ["--d-range", "2..4"]):

@@ -1,6 +1,7 @@
 """Extremal constructions, closed-form polynomials, and their agreement."""
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from eigencut import (
     saturated_cut_reduction,
     spectrum,
     threshold,
+    to_graph6,
     tridiagonal_reduce,
 )
 
@@ -44,6 +46,24 @@ def valid_pairs(d_max):
         cs = range(2, d - 1, 2) if d % 2 == 0 else range(1, d)
         for c in cs:
             yield d, c
+
+
+def partitions(total, least=3):
+    """Partitions of ``total`` into parts >= ``least``, parts non-decreasing."""
+    if total == 0:
+        yield ()
+    for k in range(least, total + 1):
+        for rest in partitions(total - k, k):
+            yield (k,) + rest
+
+
+def all_specs(d_max):
+    """Every valid (d, c, composition): each cycle partition of the odd
+    branch degree of at least 3, or () when neither branch degree is one."""
+    for d, c in valid_pairs(d_max):
+        odd = [k for k in (c, d - c) if k % 2 and k >= 3]
+        for comp in partitions(odd[0]) if odd else [()]:
+            yield d, c, comp
 
 
 def least_cut_vertex_order(d):
@@ -132,6 +152,20 @@ class TestConstruction:
             assert g.n == (2 * d + 4 if d % 2 else 2 * d + 3)
             wits = articulation_points(g)
             assert any(sorted(w.branch_degrees) == sorted([c, d - c]) for w in wits)
+            # each branch has d+1 vertices at even branch degree, d+2 at odd
+            for w in wits:
+                for comp, k in zip(w.components, w.branch_degrees):
+                    assert len(comp) == (d + 2 if k % 2 else d + 1), (d, c, k)
+
+    def test_labelled_output_pinned(self):
+        # graph6 of every construction up to d = 17, so that a change to
+        # the blocks, their order or the vertex labelling shows here
+        specs = list(all_specs(17))
+        text = "".join(to_graph6(build_extremal(d, c, comp)) + "\n" for d, c, comp in specs)
+        assert len(specs) == 232
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ddd96375f23962b1b6708d96f995862eb0a65be533904be96faac8ef8def2755"
+        )
 
     def test_smallest_cut_vertex_order(self):
         # No connected d-regular graph with a cut vertex lies below the

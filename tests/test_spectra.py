@@ -202,6 +202,11 @@ class TestTridiagonalReduce:
             mine = tridiagonal_eigenvalues(m)
             ref = sorted(np.linalg.eigvals(m).real, reverse=True)
             assert np.allclose(mine, ref, atol=1e-9)
+        # an entry outside the band is rejected, not dropped
+        with pytest.raises(ValueError, match="not tridiagonal"):
+            tridiagonal_eigenvalues([[1, 5, 7], [1, 2, 1], [0, 1, 3]])
+        with pytest.raises(ValueError, match="must be square"):
+            tridiagonal_eigenvalues(np.ones((2, 3)))
 
 
 class TestCharPoly:
