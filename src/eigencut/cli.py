@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 
 from . import extremal, verify
@@ -95,7 +96,8 @@ def _cmd_threshold(args) -> int:
 def _cmd_verify(args) -> int:
     # open the CSV before the sweep, so an unwritable path fails at once, but
     # empty it only after the sweep, so a failed sweep leaves it as it was,
-    # and remove it again if this run created it
+    # and remove it again if this run created it; only a regular file is
+    # emptied, since a device such as /dev/null cannot be truncated
     created = args.csv is not None and not os.path.exists(args.csv)
     try:
         with contextlib.nullcontext() if args.csv is None else open(args.csv, "a") as fh:
@@ -107,7 +109,8 @@ def _cmd_verify(args) -> int:
                 seed=args.seed,
             )
             if fh is not None:
-                fh.truncate(0)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
                 fh.write(verify.records_to_csv(records))
     except BaseException:
         if created:

@@ -9,7 +9,8 @@ closed-form polynomial; the minimum over admissible ``c`` is the sharp
 threshold below which a d-regular graph cannot have a cut vertex.  One
 graph attains the threshold for ``d <= 12`` and for every even ``d``.  For
 odd ``d >= 13`` its family has several members, one per partition of the
-cycle block's order into cycles (2 at ``d = 13``), and all of them attain it.
+cycle block's order into cycles (2 at ``d = 13``), and all of them attain it;
+:func:`extremal_family` builds them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def f0_poly(d: int) -> Polynomial:
     """Cubic whose largest root is lambda2 of the bridge-case graph (odd d)."""
     if d < 3 or d % 2 == 0:
         raise ValueError("the bridge-case polynomial needs odd d >= 3")
-    return Polynomial((1.0, -(d - 3), -(3 * d - 2), -2.0))
+    return Polynomial((1, -(d - 3), -(3 * d - 2), -2))
 
 
 def f1_poly(d: int, c: int) -> Polynomial:
@@ -49,7 +50,7 @@ def f1_poly(d: int, c: int) -> Polynomial:
     if c % 2 or not 2 <= c <= d - 2:
         raise ValueError("f1 needs even c with 2 <= c <= d-2")
     return Polynomial(
-        (1.0, -(d - 4), -(4 * d - 4), 2 * c * d - 2 * c * c - 4 * d, 3 * c * (d - c))
+        (1, -(d - 4), -(4 * d - 4), 2 * c * d - 2 * c * c - 4 * d, 3 * c * (d - c))
     )
 
 
@@ -60,7 +61,7 @@ def f2_poly(d: int, c: int) -> Polynomial:
     if not 2 <= c <= d - 2:
         raise ValueError("f2 needs 2 <= c <= d-2")
     return Polynomial(
-        (1.0, -(d - 5), -(5 * d - 6), 2 * c * d - 2 * c * c - 6 * d, 4 * c * (d - c))
+        (1, -(d - 5), -(5 * d - 6), 2 * c * d - 2 * c * c - 6 * d, 4 * c * (d - c))
     )
 
 
@@ -163,6 +164,27 @@ def build_extremal(d: int, c: int, composition=None) -> Graph:
     return sequential_join(_resolve_spec(d, c, composition).blocks())
 
 
+def _cycle_partitions(total: int, largest: int):
+    """Partitions of ``total`` into non-increasing parts from 3 to ``largest``,
+    by decreasing first part, so (total,) leads; just () for 0."""
+    if total == 0:
+        yield ()
+    for k in range(min(total, largest), 2, -1):
+        for rest in _cycle_partitions(total - k, k):
+            yield (k,) + rest
+
+
+def extremal_family(d: int, c: int) -> tuple[Graph, ...]:
+    """The extremal graphs at branch degree ``c``, single-cycle default first.
+
+    One per partition of the cycle block's order into cycle lengths of at
+    least 3 (module docstring); all share lambda2.  Without a cycle block the
+    family is the one graph with composition ().
+    """
+    total = _cycle_branch(d, c)
+    return tuple(build_extremal(d, c, comp) for comp in _cycle_partitions(total, total))
+
+
 def construction_partition(d: int, c: int, composition=None) -> VertexPartition:
     """Block partition matching :func:`build_extremal`'s vertex labelling."""
     blocks = []
@@ -203,7 +225,7 @@ def threshold(d: int) -> ThresholdResult:
     """Largest lambda2 still forcing 2-connectedness, with the default-composition graph attaining it.
 
     For odd ``d >= 13`` the other members of that graph's family attain it
-    too (module docstring).
+    too (:func:`extremal_family`).
     """
     c_star = optimal_branch(d)
     poly = lambda2_polynomial(d, c_star)

@@ -1,14 +1,14 @@
-"""Adjacency spectra, quotient matrices, and polynomial root machinery.
+"""Adjacency spectra, quotient matrices, and exact polynomial roots.
 
-Eigenvalues of symmetric matrices come from LAPACK via numpy; everything on
-top (quotients, equitable partitions, the constant-row-sum tridiagonal
-deflation, characteristic polynomials, bracketed root finding) is
-implemented here.
+Eigenvalues come from LAPACK via numpy; characteristic polynomials (Faddeev-
+LeVerrier) and largest roots (Sturm chains) are exact, in Python integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .graphs import Graph, _mask
 
 SYMMETRY_TOL = 1e-12
 ROW_SUM_TOL = 1e-9
-ROOT_INTERVAL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,33 +50,18 @@ class VertexPartition:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Monic real polynomial, coefficients in descending degree order."""
+    """Monic polynomial, coefficients in descending degree order: ints, or exact dyadic floats."""
 
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        if abs(self.coeffs[0] - 1.0) > 1e-9:
+        coeffs = tuple(c if isinstance(c, int) else float(c) for c in self.coeffs)
+        if not coeffs or coeffs[0] != 1:
             raise ValueError("polynomial must be monic")
-        object.__setattr__(self, "coeffs", (1.0,) + tuple(float(c) for c in self.coeffs[1:]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, x: float) -> float:
-        v = 0.0
-        for c in self.coeffs:
-            v = v * x + c
-        return v
-
-    def derivative_at(self, x: float) -> float:
-        v = 0.0
-        deg = self.degree
-        for k, c in enumerate(self.coeffs[:-1]):
-            v = v * x + c * (deg - k)
-        return v
+        return _value(self.coeffs, x)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -116,29 +100,22 @@ def spectrum(g: Graph) -> SpectralSummary:
     return SpectralSummary(tuple(ev), lam2)
 
 
+def _block_degrees(g: Graph, p: VertexPartition) -> list[list[list[int]]]:
+    """Per block, each of its vertices' neighbour counts in every block."""
+    p.validate(g)
+    masks = [_mask(b) for b in p.blocks]
+    return [[[(g.rows[v] & m).bit_count() for m in masks] for v in block] for block in p.blocks]
+
+
 def quotient(g: Graph, p: VertexPartition) -> np.ndarray:
     """Mean neighbour counts between blocks; defined for any partition."""
-    p.validate(g)
-    m = len(p.blocks)
-    entries = np.zeros((m, m))
-    masks = [_mask(b) for b in p.blocks]
-    for i, block in enumerate(p.blocks):
-        for j in range(m):
-            total = sum((g.rows[v] & masks[j]).bit_count() for v in block)
-            entries[i, j] = total / len(block)
-    return entries
+    means = [np.sum(rows, axis=0) / len(rows) for rows in _block_degrees(g, p)]
+    return np.array(means).reshape(len(means), len(means))
 
 
 def is_equitable(g: Graph, p: VertexPartition) -> bool:
     """True iff within each block every vertex sees each block equally often."""
-    p.validate(g)
-    masks = [_mask(b) for b in p.blocks]
-    for block in p.blocks:
-        first = [(g.rows[block[0]] & mj).bit_count() for mj in masks]
-        for v in block[1:]:
-            if [(g.rows[v] & mj).bit_count() for mj in masks] != first:
-                return False
-    return True
+    return all(row == rows[0] for rows in _block_degrees(g, p) for row in rows)
 
 
 def tridiagonal_reduce(m, d: float) -> np.ndarray:
@@ -150,21 +127,13 @@ def tridiagonal_reduce(m, d: float) -> np.ndarray:
     The identity is similarity-based and does not need positive entries.
     """
     a = _square(m, tridiagonal=True)
-    k = a.shape[0]
-    if k < 2:
+    if a.shape[0] < 2:
         raise ValueError("need at least a 2x2 matrix to reduce")
-    sums = a.sum(axis=1)
-    if np.max(np.abs(sums - d)) > ROW_SUM_TOL:
+    if np.max(np.abs(a.sum(axis=1) - d)) > ROW_SUM_TOL:
         raise ValueError(f"row sums must all equal {d}")
     sup = np.diag(a, 1)
     sub = np.diag(a, -1)
-    out = np.zeros((k - 1, k - 1))
-    for i in range(k - 1):
-        out[i, i] = d - sup[i] - sub[i]
-    for i in range(k - 2):
-        out[i, i + 1] = sup[i + 1]
-        out[i + 1, i] = sub[i]
-    return out
+    return np.diag(d - sup - sub) + np.diag(sup[1:], 1) + np.diag(sub[:-1], -1)
 
 
 def tridiagonal_eigenvalues(m) -> np.ndarray:
@@ -174,68 +143,99 @@ def tridiagonal_eigenvalues(m) -> np.ndarray:
     real; sorted non-increasing.
     """
     a = _square(m, tridiagonal=True)
-    k = a.shape[0]
-    if k == 1:
-        return a[0, :1].copy()
-    sup = np.diag(a, 1)
-    sub = np.diag(a, -1)
-    prod = sup * sub
+    prod = np.diag(a, 1) * np.diag(a, -1)
     if np.any(prod <= 0):
         raise ValueError("off-diagonal products must be positive")
     sym = np.diag(np.diag(a)) + np.diag(np.sqrt(prod), 1) + np.diag(np.sqrt(prod), -1)
     return eigenvalues_symmetric(sym)
 
 
+def _integers(values) -> tuple[list[int], int]:
+    """Numerators of ``values`` over their least common denominator, and that denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
 def char_poly(m) -> Polynomial:
-    """Characteristic polynomial det(xI - M) via the Faddeev-LeVerrier recurrence."""
+    """Characteristic polynomial det(xI - M) via the Faddeev-LeVerrier recurrence,
+    run in integers on D*M for the common denominator D of M's entries; the
+    k-th coefficient over D**k is an int if whole, else correctly rounded."""
     a = _square(m)
-    n = a.shape[0]
-    coeffs = [1.0]
-    work = np.zeros_like(a)
-    for k in range(1, n + 1):
-        work = a @ work + coeffs[-1] * a
-        coeffs.append(-np.trace(work) / k)
-    return Polynomial(tuple(coeffs))
+    flat, den = _integers(a.ravel().tolist())
+    a = np.array(flat, dtype=object).reshape(a.shape)
+    cs, work = [1], np.zeros_like(a)
+    for k in range(1, a.shape[0] + 1):
+        work = a @ work + cs[-1] * a
+        cs.append(-np.trace(work) // k)
+    return Polynomial(tuple(c / den**k if c % den**k else c // den**k for k, c in enumerate(cs)))
 
 
-SCAN_STEPS = 64
+def _pseudo_divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with L*f = q*g + r, deg r < deg g and L a power of |lead(g)|, so L > 0."""
+    g = g if g[0] > 0 else [-c for c in g]
+    q, r = [], f
+    while len(r) >= len(g):
+        top = r[0]
+        q = [c * g[0] for c in q] + [top]
+        r = [g[0] * x - top * y for x, y in zip_longest(r, g, fillvalue=0)][1:]
+    return q, r[next((i for i, c in enumerate(r) if c), len(r)) :]  # no leading zeros
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm chain of the square-free part of ``p``: p, p', then negated remainders."""
+    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while len(chain[-1]) > 1:
+        r = _pseudo_divide(chain[-2], chain[-1])[1]
+        if not r:  # chain[-1] is gcd(p, p'), so p has repeated roots
+            return _sturm_chain(_pseudo_divide(p, chain[-1])[0])
+        content = math.gcd(*r)  # keeps the coefficients small
+        chain.append([-c // content for c in r])
+    return chain
+
+
+def _value(f, x):
+    v = 0
+    for c in f:
+        v = v * x + c
+    return v
+
+
+def _sign_changes(chain: list[list[int]], x: int) -> int:
+    signs = [v > 0 for v in (_value(f, x) for f in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def largest_root(p: Polynomial, lo: float, hi: float) -> float:
-    """Largest real root of ``p`` in [lo, hi] by bracketed bisection.
+    """Largest real root of ``p`` in [lo, hi], correctly rounded; ValueError if none.
 
-    The interval is scanned in 64 steps from the right for a sign change
-    (callers arrange p(hi) > 0), bisected to width 1e-12, then polished with
-    a few Newton steps.  Raises ValueError when no bracket is found.
+    Bisection on the grid k / den of every float in [lo, hi] (multiples of the ulp
+    of the one nearest 0) and every midpoint of two keeps it in (a, b] until a and
+    b round alike or b = a + 1; then one division rounds it.  Sturm counts of p's
+    square-free part q steer, and once (a, hi] holds one root, q against q(hi) does.
     """
-    if hi <= lo:
+    lo, hi = float(lo), float(hi)
+    if not lo < hi:
         raise ValueError("need lo < hi")
-    xs = [lo + (hi - lo) * k / SCAN_STEPS for k in range(SCAN_STEPS + 1)]
-    vals = [p(x) for x in xs]
-    a = b = None
-    for k in range(SCAN_STEPS, 0, -1):
-        if vals[k] == 0.0:
-            a = b = xs[k]
-            break
-        if vals[k] > 0.0 and vals[k - 1] <= 0.0:
-            a, b = xs[k - 1], xs[k]
-            break
-    if a is None:
-        raise ValueError("no sign change found in the bracket")
-    while b - a > ROOT_INTERVAL:
-        mid = 0.5 * (a + b)
-        if p(mid) > 0.0:
-            b = mid
+    den = 2 * min(1.0, math.ulp(max(lo, -hi, 0.0))).as_integer_ratio()[1]
+    chain = [[c * den**i for i, c in enumerate(f)] for f in _sturm_chain(_integers(p.coeffs)[0])]
+    q = chain[0]
+    a, b = (num * (den // d) for num, d in (lo.as_integer_ratio(), hi.as_integer_ratio()))
+    top = _value(q, b)
+    if top == 0:
+        return hi
+    at_hi = _sign_changes(chain, b)
+    roots = _sign_changes(chain, a) - at_hi  # distinct roots in (a, hi]
+    if not roots:
+        if _value(q, a):
+            raise ValueError("no root in [lo, hi]")
+        return lo
+    fa, fb = lo, hi  # a and b rounded to floats
+    while b - a > 1 and fa != fb:
+        mid = (a + b) // 2
+        k = int(_value(q, mid) * top < 0) if roots == 1 else _sign_changes(chain, mid) - at_hi
+        if k:
+            a, fa, roots = mid, mid / den, k
         else:
-            a = mid
-    root = 0.5 * (a + b)
-    for _ in range(3):
-        dp = p.derivative_at(root)
-        if dp == 0.0:
-            break
-        step = p(root) / dp
-        nxt = root - step
-        if not (lo <= nxt <= hi):
-            break
-        root = nxt
-    return root
+            b, fb = mid, mid / den
+    return (2 * a + 1 if _value(q, b) else 2 * b) / (2 * den)

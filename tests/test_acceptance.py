@@ -81,11 +81,11 @@ def test_criterion_02_lambda2_polynomial_agreement():
     for d in range(4, D_MAX + 1, 2):
         for c in range(2, d - 1, 2):
             red = tridiagonal_reduce(quotient_even_degree(d, c), d)
-            assert np.allclose(char_poly(red).coeffs, f1_poly(d, c).coeffs, atol=1e-8)
+            assert char_poly(red).coeffs == f1_poly(d, c).coeffs
     for d in range(5, D_MAX + 1, 2):
         for c in range(2, d - 1):
             red = tridiagonal_reduce(quotient_odd_degree(d, c), d)
-            assert np.allclose(char_poly(red).coeffs, f2_poly(d, c).coeffs, atol=1e-8)
+            assert char_poly(red).coeffs == f2_poly(d, c).coeffs
     elapsed = time.time() - start
     assert elapsed < 10.0, f"agreement suite took {elapsed:.2f}s"
     print(f"\nCRITERION 2 (lambda2/polynomial agreement, {elapsed:.2f}s): PASS")

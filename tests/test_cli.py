@@ -1,6 +1,10 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +129,13 @@ class TestThreshold:
         assert code == 0
         chain_lines = [ln for ln in out.splitlines() if ln.startswith("#")]
         assert len(chain_lines) == 3  # c = 1, 2, 3
+
+    def test_verbose_table_pinned(self, capsys):
+        # every printed threshold and chain value, byte for byte
+        code, out, _ = run_cli(capsys, "threshold", "--d-range", "3..60", "--verbose")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "180f854b6913a016084315d5bebe2be4c489878b057a6c91c14ff0297836ca30"
 
     def test_builds_no_graph(self, capsys, monkeypatch):
         # the table prints polynomials and roots only, so no row may pay
@@ -297,6 +308,15 @@ class TestVerify:
         assert old.read_bytes() == fresh.read_bytes()
         assert fresh.read_bytes().startswith(b"graph6,")
 
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+    def test_csv_to_character_device(self, capsys):
+        # a device cannot be truncated, so the records are just written to it
+        code, out, err = run_cli(
+            capsys, "verify", "--d", "3", "--n-max", "8", "--csv", os.devnull
+        )
+        assert code == 0 and err.startswith("note: vacuous verdict")
+        assert json.loads(out)["graphs_checked"] == 8
+
     def test_random_requires_seed(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--d", "5", "--n-max", "16", "--mode", "random")
         assert code == 2 and out == ""
@@ -323,6 +343,12 @@ class TestCompareBounds:
         margins = [float(ln.split("\t")[2]) for ln in lines[1:-1]]
         assert all(m > 0 for m in margins)
 
+    def test_quartic_tie_with_cioaba_gu(self, capsys):
+        # at d = 4 the even-degree Cioaba-Gu bound is 1 + sqrt(7), the threshold itself
+        code, out, _ = run_cli(capsys, "compare-bounds", "--d", "4", "--n", "11")
+        assert code == 0
+        assert out.splitlines()[1] == "cioaba_gu\t3.645751311\t0"
+
     def test_degenerate(self, capsys):
         for d, n in [("3", "4"), ("3", "5"), ("5", "7")]:  # n = d+1, then n*d odd
             code, out, err = run_cli(capsys, "compare-bounds", "--d", d, "--n", n)
@@ -335,3 +361,13 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, "threshold", "--d-range", "3..6")
         _, out2, _ = run_cli(capsys, "threshold", "--d-range", "3..6")
         assert out1 == out2
+
+
+def test_cli_import_stays_light():
+    # exact roots use plain ints: fractions would also pull in decimal
+    code = "import sys, eigencut.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(extremal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

@@ -265,14 +265,15 @@ class TestQuotients:
             assert np.allclose(m.sum(axis=1), d)
 
     def test_reductions_give_f_polynomials(self):
+        # exactly: the reductions have integer entries, so char_poly is exact
         for d in range(4, 16, 2):
             for c in range(2, d - 1, 2):
                 red = tridiagonal_reduce(quotient_even_degree(d, c), d)
-                assert np.allclose(char_poly(red).coeffs, f1_poly(d, c).coeffs, atol=1e-8)
+                assert char_poly(red).coeffs == f1_poly(d, c).coeffs
         for d in range(5, 16, 2):
             for c in range(2, d - 1):
                 red = tridiagonal_reduce(quotient_odd_degree(d, c), d)
-                assert np.allclose(char_poly(red).coeffs, f2_poly(d, c).coeffs, atol=1e-8)
+                assert char_poly(red).coeffs == f2_poly(d, c).coeffs
 
     def test_cut_partition_reduction_identities(self):
         b3 = cut_partition_quotient(4, 2, BranchParams(3, 3, 6, 6))
@@ -315,6 +316,12 @@ class TestThresholds:
         assert t5.value == pytest.approx(
             oracles.bisect_largest_root([1.0, 0.0, -19.0, -18.0, 24.0], 4, 5), abs=1e-9
         )
+
+    def test_exact_values(self):
+        # the correctly rounded largest roots, bit for bit
+        assert lambda2_value(3, 1) == 2.778457118258389
+        assert lambda2_value(4, 2) == 3.6457513110645907
+        assert all(type(c) is int for c in lambda2_polynomial(7, 3).coeffs)
 
     def test_optimal_branch(self):
         assert [optimal_branch(d) for d in range(3, 16)] == [
@@ -402,3 +409,37 @@ class TestSweeps:
         assert len(rep.violations) == rep.comparisons == 128
         assert rep.violations[0] == "r not strictly monotone at (5, 3, 9, 8): gap=0.000e+00"
         assert rep.violations[-1] == "q not strictly monotone at (5, 5): gap=0.000e+00"
+
+
+class TestExtremalFamily:
+    def test_single_member_below_13_and_for_even_degree(self):
+        for d in list(range(3, 13)) + [14, 16, 20]:
+            c = threshold(d).c_star
+            family = extremal.extremal_family(d, c)
+            assert len(family) == 1
+            assert family[0].rows == build_extremal(d, c).rows
+
+    def test_odd_degree_members(self):
+        for d, count in [(13, 2), (15, 2), (17, 4), (19, 4), (21, 6)]:
+            c = threshold(d).c_star
+            family = extremal.extremal_family(d, c)
+            assert len(family) == count, d
+            assert family[0].rows == build_extremal(d, c).rows  # the default leads
+            for g in family:
+                assert is_regular(g) == d and g.n == 2 * d + 4
+                assert spectrum(g).lambda2 == pytest.approx(lambda2_value(d, c), abs=1e-12)
+            # distinct spectra, so pairwise non-isomorphic
+            spectra = [np.array(spectrum(g).eigenvalues) for g in family]
+            for i in range(count):
+                for j in range(i):
+                    assert np.max(np.abs(spectra[i] - spectra[j])) > 0.5, (d, i, j)
+        g, h = extremal.extremal_family(13, 6)
+        assert not is_isomorphic(g, h)
+        assert is_isomorphic(h, build_extremal(13, 6, (3, 4)))
+
+    def test_branch_degree_families(self):
+        # the same partitions at every branch degree whose cycle block is 9
+        assert len(extremal.extremal_family(17, 8)) == 4
+        assert len(extremal.extremal_family(9, 2)) == 2  # d - c = 7: (7) and (4, 3)
+        with pytest.raises(ValueError):
+            extremal.extremal_family(4, 1)

@@ -214,6 +214,17 @@ class TestCharPoly:
         assert char_poly([[0, 1], [1, 0]]).coeffs == (1.0, 0.0, -1.0)
         assert char_poly(np.eye(3)).coeffs == (1.0, -3.0, 3.0, -1.0)
 
+    def test_exact_coefficients(self):
+        # an integer matrix gives int coefficients, exactly
+        coeffs = char_poly(adjacency_matrix(cycle(30))).coeffs
+        assert all(type(c) is int for c in coeffs)
+        assert coeffs[:5] == (1, 0, -30, 0, 405)
+        # C_30 has eigenvalue 2 (once) and -2 (once): x^2 - 4 divides its polynomial
+        assert largest_root(Polynomial(coeffs), 1.5, 3) == 2.0
+        # fractional coefficients are the correctly rounded floats of the exact ones
+        assert char_poly([[1 / 3]]).coeffs == (1, -1 / 3)
+        assert char_poly([[0.5, 1], [1, 0.25]]).coeffs == (1, -0.75, -0.875)
+
     def test_roots_match_eigenvalues(self):
         rng = random.Random(61)
         for _ in range(20):
@@ -227,6 +238,11 @@ class TestCharPoly:
     def test_monic_enforced(self):
         with pytest.raises(ValueError):
             Polynomial((2.0, 1.0))
+        with pytest.raises(ValueError):
+            Polynomial((1 + 1e-12, 0))  # monic means exactly 1
+        with pytest.raises(ValueError):
+            Polynomial(())
+        assert Polynomial((np.int64(1), np.float64(0.5))).coeffs == (1, 0.5)
 
 
 class TestLargestRoot:
@@ -262,3 +278,40 @@ class TestLargestRoot:
     def test_no_bracket(self):
         with pytest.raises(ValueError):
             largest_root(Polynomial((1.0, 0.0, 4.0)), -1, 1)  # x^2 + 4 has no real root
+        with pytest.raises(ValueError):
+            largest_root(Polynomial((1, -3)), 0, 2)  # the root 3 lies above the interval
+        with pytest.raises(ValueError):
+            largest_root(Polynomial((1, -3)), 2, 2)
+
+    def test_close_roots(self):
+        # (x-1)(x-100)(x-101): 100 and 101 lie in one 1/64 slice of [0, 127]
+        p = Polynomial((1, -202, 10301, -10100))
+        assert largest_root(p, 0, 127) == 101.0
+        assert largest_root(p, 0, 100.5) == 100.0
+        assert largest_root(p, 0, 99) == 1.0
+
+    def test_roots_on_the_ends(self):
+        p = Polynomial((1, 0, -4))
+        assert largest_root(p, 2, 3) == 2.0
+        assert largest_root(p, 0, 2) == 2.0
+        assert largest_root(p, -2, 1) == -2.0
+
+    def test_repeated_roots(self):
+        # (x-2)^2 (x-5): the double root has no sign change
+        p = Polynomial((1, -9, 24, -20))
+        assert largest_root(p, 0, 4) == 2.0
+        assert largest_root(p, 1.5, 2.5) == 2.0
+        assert largest_root(p, 0, 9) == 5.0
+        # (x+1)^3 (x-3), the characteristic polynomial of K4
+        k4 = char_poly(adjacency_matrix(complete(4)))
+        assert k4.coeffs == (1, 0, -6, -8, -3)
+        assert largest_root(k4, -2, 0) == -1.0
+
+    def test_correctly_rounded(self):
+        # IEEE square roots are correctly rounded, so they are the reference
+        rng = random.Random(71)
+        for _ in range(300):
+            c = rng.uniform(0, 2) * 10 ** rng.randint(-20, 20)
+            assert largest_root(Polynomial((1, 0, -c)), 0, max(2.0, c)) == math.sqrt(c)
+        for c in range(1, 300):
+            assert largest_root(Polynomial((1, 0, -c)), -1, c) == math.sqrt(c)

@@ -112,6 +112,18 @@ class TestTheoremSweep:
         assert main(["verify", "--d", "3", "--n-max", "10"]) == 1
         assert json.loads(capsys.readouterr().out)["pass"] is False
 
+    def test_every_family_member_is_extremal(self, monkeypatch):
+        # at d = 13 the threshold has two extremal graphs: cycle blocks (7) and (4, 3)
+        from eigencut import extremal
+
+        family = extremal.extremal_family(13, threshold(13).c_star)
+        assert len(family) == 2
+        monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter(family))
+        report, records = verify_theorem(13, 30)
+        assert report.passed and report.counterexamples == ()
+        assert len(report.equality_cases) == 2 and report.cut_vertex_graphs == 2
+        assert all(rec.threshold_cmp == "equal" and rec.iso_extremal for rec in records)
+
     def test_exhaustive_csv_pinned(self):
         # every byte of the exhaustive reference sweeps, the .10g lambda2
         # column and the graph6 ids included
