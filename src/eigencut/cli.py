@@ -111,7 +111,7 @@ def _cmd_verify(args) -> int:
             if fh is not None:
                 if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                     fh.truncate(0)
-                fh.write(verify.records_to_csv(records))
+                fh.writelines(verify.csv_lines(records))
     except BaseException:
         if created:
             with contextlib.suppress(FileNotFoundError):  # the open itself may have failed

@@ -80,16 +80,25 @@ before testing its degrees and searched the tail from its first vertex:
 0.38 s, 0.85 s and 2.0 s).
 
 The random sampler is exactly uniform over labelled connected d-regular
-graphs.  It pairs degree stubs one at a time, each with a uniformly chosen
-free stub, and abandons an attempt at its first loop or repeated edge
-(the sequential pairing of Steger and Wormald, CPC 8, 1999, but with the
-whole attempt rejected, which keeps the pairing model's law).  A cubic
-attempt succeeds with probability about exp(-2), so stopping early saves
-most of the random draws.
+graphs.  An attempt gives each of the n*d degree stubs a random 64-bit key,
+sorts the stubs by key and pairs the first with the second, the third with
+the fourth and so on.  With distinct keys that is a uniform perfect
+matching (the pairing model of Bollobas, Eur. J. Combin. 1, 1980).  An
+attempt with a repeated key, a loop, a repeated edge or a disconnected
+graph is dropped, which keeps the law.  numpy screens a batch of attempts
+at once, drawn with one ``getrandbits`` call.  The first batch is about the
+attempts one graph takes, exp((d*d-1)/4), and each next one doubles, up to
+keys for 4096 stubs (45 cubic attempts at n = 30): one graph costs about
+one batch, and a run of many graphs of one order shares the numpy calls
+among many attempts without holding large arrays.  The 5000 graphs of the seed-7 cubic sweep (n <= 30) are sampled in
+about 0.15 s, against about 0.28 s for the sampler that paired one stub at
+a time and abandoned an attempt at its first loop or repeated edge (in
+process, min of 5, 2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from itertools import combinations
@@ -100,6 +109,8 @@ from .graphs import Graph, graph_from_edges, is_connected, is_regular
 REJECTION_BUDGET = 100_000
 
 TAIL = 4  # vertices tested only once the graph is complete (module docstring)
+
+_BATCH_STUBS = 1 << 12  # the sampler's most keys at once, unless one attempt needs more (module docstring)
 
 # One tie prefix: the number of its parent prefix (-1 for the empty one),
 # its last vertex and its length, both below the graph's order, which the
@@ -438,50 +449,80 @@ def enumerate_connected_regular(n: int, d: int) -> Iterator[Graph]:
     yield from extend(1, _tie_prefixes(rows, 1, 1), [])
 
 
-def random_connected_regular(n: int, d: int, seed: int) -> Graph:
-    """Uniformly random labelled connected d-regular graph via the pairing model.
+def _repeats(rows):
+    """Per row of an array sorted along its rows, True where some value repeats."""
+    return (rows[:, 1:] == rows[:, :-1]).any(axis=1)
 
-    Each attempt pairs the n*d degree stubs one at a time: it takes the
-    last unpaired stub and joins it to a uniformly chosen other unpaired
-    stub.  Any rule for picking the first stub of a pair gives a uniform
-    perfect matching, so abandoning the attempt at its first loop or
-    repeated edge, or when the finished graph is disconnected, and starting
-    over is rejection sampling from the uniform law on simple pairings.
-    Every labelled simple d-regular graph comes from exactly (d!)^n of
-    them, so the result is uniform over labelled connected d-regular
-    graphs.  Deterministic for a fixed seed; raises RuntimeError if the
-    rejection budget runs out, and ValueError at once when no connected
-    d-regular graph on n vertices exists (d <= 1 with n > d+1).
+
+def random_connected_regular_graphs(n: int, d: int, getrandbits) -> Iterator[Graph]:
+    """Independent uniformly random labelled connected d-regular graphs, via the pairing model.
+
+    Each attempt draws an independent 64-bit key per degree stub from
+    ``getrandbits`` (``random.Random.getrandbits``), sorts the stubs by key
+    and pairs consecutive ones.  With distinct keys the sorted order is a
+    uniform permutation, so the pairing is a uniform perfect matching; an
+    attempt with a repeated key, a loop or a repeated edge, or whose graph
+    is disconnected, is dropped, which is rejection sampling from the
+    uniform law on simple pairings.  Every labelled simple d-regular graph
+    comes from exactly (d!)^n of them, so each graph is uniform over
+    labelled connected d-regular graphs.  Attempts are drawn and screened
+    in batches (module docstring); ``graph_from_edges`` and
+    ``is_connected`` run once per simple pairing.  Raises RuntimeError when
+    ``REJECTION_BUDGET`` attempts in a row yield no graph, and ValueError on
+    the first ``next`` when no connected d-regular graph on n vertices
+    exists (d <= 1 with n > d+1).
     """
     _check_order(n, d)
     if d <= 1 and n > d + 1:
         raise ValueError(f"no connected {d}-regular graph on {n} vertices")
-    getrandbits = random.Random(seed).getrandbits
-    stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(REJECTION_BUDGET):
-        free = stubs[:]
-        rows = [0] * n
-        edges = []
-        while free:
-            u = free.pop()
-            m = len(free)
-            k = m.bit_length()  # redraw k bits until below m: an exact uniform index
-            j = getrandbits(k)
-            while j >= m:
-                j = getrandbits(k)
-            v = free[j]
-            free[j] = free[-1]
-            free.pop()
-            if u == v or rows[u] >> v & 1:
-                break
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            edges.append((u, v))
-        else:
-            g = graph_from_edges(n, edges)
-            if is_connected(g):
-                assert is_regular(g) == d
-                return g
-    raise RuntimeError(
-        f"pairing sampler found no connected {d}-regular graph on {n} vertices in {REJECTION_BUDGET} attempts"
-    )
+    # numpy is imported here: imported at the top, it loads before the rest of
+    # the package, which raised peak memory after import by about 0.3 MiB
+    import numpy as np
+
+    stubs = n * d
+    # stub s belongs to vertex s // d; unsigned like the keys, so that codes
+    # and keys are sorted by one numpy kernel, which keeps peak memory down
+    vertex = np.arange(stubs, dtype=np.uint64) // d
+    partner = np.arange(stubs) ^ 1  # sorted positions 2i and 2i+1 are paired
+    most = max(1, _BATCH_STUBS // max(stubs, 1))
+    # the first batch is about the attempts one graph takes
+    rate = (d * d - 1) / 4  # a pairing is simple with probability about exp(-rate)
+    batch = most if rate > math.log(most) else min(math.ceil(math.exp(rate)), most)
+    failed = 0
+    while True:
+        # Each array is dropped once read, which keeps peak memory down.
+        bits = getrandbits(64 * batch * stubs).to_bytes(8 * batch * stubs, "little")
+        keys = np.frombuffer(bits, "<u8").reshape(batch, stubs)
+        ends = vertex[keys.argsort(axis=1)]
+        repeated = _repeats(np.sort(keys, axis=1))
+        del bits, keys
+        # every edge once from each end, so a loop or a repeated edge repeats a code
+        codes = ends * n
+        codes += ends[:, partner]
+        codes.sort(axis=1)
+        simple = ~(repeated | _repeats(codes))
+        del codes
+        for i, ok in enumerate(simple.tolist()):
+            if ok:
+                row = ends[i].tolist()
+                g = graph_from_edges(n, zip(row[0::2], row[1::2]))
+                if is_connected(g):
+                    assert is_regular(g) == d
+                    failed = 0
+                    yield g
+                    continue
+            failed += 1
+            if failed == REJECTION_BUDGET:
+                raise RuntimeError(
+                    f"pairing sampler found no connected {d}-regular graph on {n} vertices in {REJECTION_BUDGET} attempts"
+                )
+        batch = min(2 * batch, most)
+
+
+def random_connected_regular(n: int, d: int, seed: int) -> Graph:
+    """The first graph of ``random_connected_regular_graphs`` fed by ``random.Random(seed)``.
+
+    Uniform over labelled connected d-regular graphs and deterministic for a
+    fixed seed; raises as that generator does.
+    """
+    return next(random_connected_regular_graphs(n, d, random.Random(seed).getrandbits))

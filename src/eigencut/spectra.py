@@ -7,6 +7,7 @@ LeVerrier) and largest roots (Sturm chains) are exact, in Python integers.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -206,19 +207,62 @@ def _sign_changes(chain: list[list[int]], x: int) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+_F64 = struct.Struct("<d")
+_I64 = struct.Struct("<q")
+
+
+def _ordinal(x: float) -> int:
+    """``x``'s place among the floats: consecutive floats get consecutive integers, and 0.0 gets 0."""
+    k = _I64.unpack(_F64.pack(abs(x)))[0]
+    return -k if x < 0 else k
+
+
+def _from_ordinal(k: int) -> float:
+    x = _F64.unpack(_I64.pack(abs(k)))[0]
+    return -x if k < 0 else x
+
+
+def _scaled(chain: list[list[int]], den: int) -> list[list[int]]:
+    """``chain`` with the coefficients scaled so that its value at k has the sign of the original's at k / den."""
+    return [[c * den**i for i, c in enumerate(f)] for f in chain]
+
+
+def _changes_at(chain: list[list[int]], x: float) -> int:
+    """Sign changes of ``chain`` at the float ``x``, evaluated exactly."""
+    num, den = x.as_integer_ratio()
+    return _sign_changes(_scaled(chain, den), num)
+
+
 def largest_root(p: Polynomial, lo: float, hi: float) -> float:
     """Largest real root of ``p`` in [lo, hi], correctly rounded; ValueError if none.
 
-    Bisection on the grid k / den of every float in [lo, hi] (multiples of the ulp
-    of the one nearest 0) and every midpoint of two keeps it in (a, b] until a and
-    b round alike or b = a + 1; then one division rounds it.  Sturm counts of p's
-    square-free part q steer, and once (a, hi] holds one root, q against q(hi) does.
+    While [lo, hi] spans more than four binades, bisection over the floats in
+    their order locates the binade of the root.  Then bisection on the grid
+    k / den of every float in [lo, hi] (multiples of the ulp of the one
+    nearest 0) and every midpoint of two keeps it in (a, b] until a and b
+    round alike or b = a + 1; then one division rounds it.  Sturm counts of
+    p's square-free part q steer, and once (a, hi] holds one root, q
+    against q(hi) does.
     """
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
+    base = _sturm_chain(_integers(p.coeffs)[0])
+    # den is set by the bracket end nearest 0: one much nearer 0 than the
+    # root (den = 2**1075 when the bracket holds 0) makes every grid point a
+    # long integer.  So the bracket is narrowed first, keeping the largest
+    # root in (lo, hi].
+    below, above = _ordinal(lo), _ordinal(hi)
+    if above - below > 1 << 54 and _changes_at(base, lo) > (at_top := _changes_at(base, hi)):
+        while above - below > 1 << 54:
+            mid = (below + above) // 2
+            if _changes_at(base, _from_ordinal(mid)) > at_top:
+                below = mid
+            else:
+                above = mid
+        lo, hi = _from_ordinal(below), _from_ordinal(above)
     den = 2 * min(1.0, math.ulp(max(lo, -hi, 0.0))).as_integer_ratio()[1]
-    chain = [[c * den**i for i, c in enumerate(f)] for f in _sturm_chain(_integers(p.coeffs)[0])]
+    chain = _scaled(base, den)
     q = chain[0]
     a, b = (num * (den // d) for num, d in (lo.as_integer_ratio(), hi.as_integer_ratio()))
     top = _value(q, b)

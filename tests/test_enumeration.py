@@ -460,10 +460,26 @@ class TestRandomRegular:
     def test_stream_pinned(self):
         # The sampler's stream is part of every random-mode CSV; a change to
         # which labelled graph a seed yields must show here.
-        assert to_graph6(random_connected_regular(10, 3, seed=1)) == "ITABIoKQG"
+        assert to_graph6(random_connected_regular(10, 3, seed=1)) == "IRGQKRABO"
         _, records = verify_theorem(3, 30, mode="random", samples=200, seed=7)
         digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
-        assert digest == "5b6e6ef6d9023c9d8d27143f8ec90a3592671268c73efd38467992f2d296610d"
+        assert digest == "bf80d9f854b5d4d6ac8778abf08e21ecdf183aa363fd3a770d0adc3296ea940d"
+
+    def test_dense_degree_reaches_the_budget(self, monkeypatch):
+        # at d = 60 exp((d*d-1)/4) overflows a float; a batch is one attempt
+        monkeypatch.setattr(enumeration, "REJECTION_BUDGET", 1)
+        with pytest.raises(RuntimeError, match="no connected 60-regular graph on 61 vertices in 1 attempts"):
+            random_connected_regular(61, 60, seed=0)
+
+    def test_repeated_keys_rejected(self, monkeypatch):
+        # With every key equal the sort order is not a uniform permutation,
+        # so every attempt must be dropped, also the one whose stubs, left in
+        # place, pair into K2.
+        monkeypatch.setattr(enumeration, "REJECTION_BUDGET", 3)
+        monkeypatch.setattr(random.Random, "getrandbits", lambda self, k: 0)
+        message = "pairing sampler found no connected 1-regular graph on 2 vertices in 3 attempts"
+        with pytest.raises(RuntimeError, match=message):
+            random_connected_regular(2, 1, seed=0)
 
     def test_graph_built_once_per_simple_pairing(self, monkeypatch):
         # bench/tracing.py wraps these two names in the enumeration module;

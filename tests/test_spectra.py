@@ -315,3 +315,21 @@ class TestLargestRoot:
             assert largest_root(Polynomial((1, 0, -c)), 0, max(2.0, c)) == math.sqrt(c)
         for c in range(1, 300):
             assert largest_root(Polynomial((1, 0, -c)), -1, c) == math.sqrt(c)
+
+    def test_bracket_end_near_zero(self, monkeypatch):
+        # An end at or near 0 must not set the bisection grid: points are
+        # evaluated as integers of a few dozen bits, as on [1, 10], not on a
+        # grid of den up to 2**1075.
+        from eigencut import spectra
+
+        widths = []
+        value = spectra._value
+        monkeypatch.setattr(spectra, "_value", lambda f, x: widths.append(abs(x).bit_length()) or value(f, x))
+        p = Polynomial((1, 0, -2))
+        for lo, hi, root in [(-10, 10, math.sqrt(2)), (1e-300, 10, math.sqrt(2)), (-10, -1e-300, -math.sqrt(2))]:
+            widths.clear()
+            assert largest_root(p, lo, hi) == root
+            assert max(widths) <= 64, (lo, hi, max(widths))
+        tiny = 2.0**-1000
+        assert largest_root(Polynomial((1, -tiny)), -1, 1) == tiny
+        assert largest_root(Polynomial((1, tiny)), -1, 1) == -tiny

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -124,6 +127,21 @@ class TestTheoremSweep:
         assert len(report.equality_cases) == 2 and report.cut_vertex_graphs == 2
         assert all(rec.threshold_cmp == "equal" and rec.iso_extremal for rec in records)
 
+    def test_family_members_found_quickly(self, monkeypatch):
+        # At d = 21 colour refinement cannot tell the six members apart, and
+        # is_isomorphic took seconds on some non-isomorphic pairs; their
+        # spectra differ by >= 0.55, so comparing spectra first skips them.
+        from eigencut import extremal
+
+        family = extremal.extremal_family(21, threshold(21).c_star)
+        assert len(family) == 6
+        monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter(family))
+        start = time.perf_counter()
+        report, records = verify_theorem(21, 46)
+        assert time.perf_counter() - start < 1.0
+        assert report.passed and len(report.equality_cases) == 6
+        assert all(rec.threshold_cmp == "equal" and rec.iso_extremal for rec in records)
+
     def test_exhaustive_csv_pinned(self):
         # every byte of the exhaustive reference sweeps, the .10g lambda2
         # column and the graph6 ids included
@@ -140,6 +158,13 @@ class TestTheoremSweep:
         assert r1.passed and records_to_csv(recs1) == records_to_csv(recs2)
         r3, _ = verify_theorem(5, 16, mode="random", samples=30, seed=43)
         assert r3.passed
+
+    def test_random_samples_per_order(self):
+        # every sample's order is drawn first, from the run's seed
+        orders = range(4, 31, 2)
+        _, records = verify_theorem(3, 30, mode="random", samples=300, seed=11)
+        rng = random.Random(11)
+        assert Counter(r.n for r in records) == Counter(rng.choice(orders) for _ in range(300))
 
     def test_random_quintic_large_sample(self):
         report, records = verify_theorem(5, 24, mode="random", samples=200, seed=42)
