@@ -1,7 +1,9 @@
 """Adjacency spectra, quotient matrices, and exact polynomial roots.
 
-Eigenvalues come from LAPACK via numpy; characteristic polynomials (Faddeev-
-LeVerrier) and largest roots (Sturm chains) are exact, in Python integers.
+Eigenvalues come from LAPACK via numpy: a sweep's graphs of one order are
+solved as one stack (:func:`spectra`), and :func:`spectrum` is the stack of
+one graph.  Characteristic polynomials (Faddeev-LeVerrier) and largest roots
+(Sturm chains) are exact, in Python integers.
 """
 
 from __future__ import annotations
@@ -65,14 +67,23 @@ class Polynomial:
         return _value(self.coeffs, x)
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    n = g.n
+def _adjacency_stack(graphs) -> np.ndarray:
+    """The ``(k, n, n)`` float adjacency matrices of ``k >= 1`` graphs of one order n."""
+    orders = {g.n for g in graphs}
+    if len(orders) != 1:
+        raise ValueError("need graphs of one order")
+    (n,) = orders
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in g.rows]), np.uint8)
-    bits = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    rows = b"".join([row.to_bytes(width, "little") for g in graphs for row in g.rows])
+    packed = np.frombuffer(rows, np.uint8).reshape(len(graphs), n, width)
+    bits = np.unpackbits(packed, axis=2, count=n, bitorder="little")
     # np.where, not astype: nothing else in a sweep casts uint8 to float64,
     # and that cast's first call pages in another 64 KiB of numpy's code.
     return np.where(bits.view(np.bool_), 1.0, 0.0)
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    return _adjacency_stack([g])[0]
 
 
 def _square(m, tridiagonal: bool = False) -> np.ndarray:
@@ -93,12 +104,20 @@ def eigenvalues_symmetric(m) -> np.ndarray:
     return np.linalg.eigvalsh(a)[::-1]
 
 
-def spectrum(g: Graph) -> SpectralSummary:
+def spectra(graphs) -> list[SpectralSummary]:
+    """The spectra of graphs of one order, from one stacked ``eigvalsh`` call.
+
+    numpy solves each matrix of the stack by its own LAPACK call, so every
+    eigenvalue is the one a separate call on that graph would give.
+    """
     # A Graph's rows are symmetric by validation, so the check in
     # eigenvalues_symmetric would only repeat it.
-    ev = np.linalg.eigvalsh(adjacency_matrix(g))[::-1].tolist()
-    lam2 = ev[1] if g.n >= 2 else None
-    return SpectralSummary(tuple(ev), lam2)
+    stack = np.linalg.eigvalsh(_adjacency_stack(graphs))[:, ::-1].tolist()
+    return [SpectralSummary(tuple(ev), ev[1] if len(ev) >= 2 else None) for ev in stack]
+
+
+def spectrum(g: Graph) -> SpectralSummary:
+    return spectra([g])[0]
 
 
 def _block_degrees(g: Graph, p: VertexPartition) -> list[list[list[int]]]:

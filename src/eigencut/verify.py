@@ -4,16 +4,19 @@ cut-vertex eigenvalue thresholds, expansion bounds, and prior bounds.
 The central check, one sweep: every connected d-regular graph with a cut
 vertex has lambda2 at least the degree-d threshold, and at least the bound
 ``lambda2_value(d, c)`` of each normalized branch degree c at each of its
-cut vertices.  An equality case must be isomorphic to a member of
-``extremal_family(d, c*)`` at the threshold's branch degree c*: the one
+cut vertices.  A graph at the bound of a witness's branch degree c must be
+isomorphic to a member of ``extremal_family(d, c)``; so an equality case
+must be a member of the family at the threshold's branch degree c*: the one
 graph ``threshold(d).extremal_graph`` for d <= 12 and every even d, and one
-graph per cycle composition for odd d >= 13 (2 graphs at d = 13); only the
-members whose spectrum matches the case's are tested for isomorphism.
-Exhaustive mode walks every isomorphism class up to a given order; random
-mode samples the pairing model (``samples`` graphs from ``seed``, options
-that exhaustive mode rejects: the order of every sample is drawn first,
-then each order's graphs in turn) and asserts only the strict side of the
-threshold (a sample that happens to tie it is recorded, not judged).
+graph per cycle composition for odd d >= 13 (2 graphs at d = 13).  A family
+is built when a graph first meets its bound, and only the members whose
+spectrum matches the graph's are tested for isomorphism.  Exhaustive mode
+walks every isomorphism class up to a given order; random mode samples the
+pairing model (``samples`` graphs from ``seed``, options that exhaustive
+mode rejects: the order of every sample is drawn first, then each order's
+graphs in turn) and asserts only the strict side of each bound (a sample
+that happens to meet one is recorded, not judged).  Spectra come from one
+stacked eigensolve per chunk of a run of graphs of one order.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from functools import cache
+from itertools import groupby, islice
 from typing import Iterator
 
 # bench/tracing.py looks up random_connected_regular and records_to_csv in
@@ -35,21 +39,26 @@ from .enumeration import (  # noqa: F401
 )
 from .extremal import extremal_family, lambda2_value, threshold
 from .graphs import Graph, articulation_points, is_connected, is_isomorphic, is_regular, to_graph6
-from .spectra import spectrum
+# bench/tracing.py wraps spectrum here; the family spectra call it.
+from .spectra import SpectralSummary, spectra, spectrum
 
 EIG_TOL = 1e-8
-# Isomorphic graphs have equal spectra, so an equality case is tested for
+# Isomorphic graphs have equal spectra, so a graph at a bound is tested for
 # isomorphism only against family members whose spectrum is within this of
 # its own.  Non-isomorphic members of one family differ by far more (>= 0.55
 # at d = 21), and colour refinement cannot tell them apart.
 SPECTRUM_TOL = 1e-6
+# Float64 entries per stacked eigensolve (32 KiB): up to 256 cubic graphs of
+# order 4, and one graph per stack from order 64 on.
+CHUNK_ENTRIES = 1 << 12
 
 
 class VerificationError(Exception):
     """A generated graph violated a bound that the theory guarantees."""
 
 
-@dataclass(frozen=True)
+# slots: a sweep holds every record until it sorts them
+@dataclass(frozen=True, slots=True)
 class VerificationRecord:
     """Per-graph outcome of a threshold sweep."""
 
@@ -59,7 +68,9 @@ class VerificationRecord:
     witnesses: tuple[tuple[int, int], ...]  # (cut vertex, normalized branch degree)
     lambda2: float
     threshold_cmp: str  # below / equal / above
-    iso_extremal: bool
+    iso_extremal: bool  # an equality case isomorphic to a member of the threshold's family
+    # every witness (u, c) whose bound lambda2 meets is a member of c's family
+    branch_extremal: bool
 
 
 @dataclass(frozen=True)
@@ -133,26 +144,40 @@ def _generate(d: int, n_max: int, mode: str, samples: int | None, seed: int | No
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _examine(
-    g: Graph, d: int, thr_value: float, family: tuple[tuple[Graph, tuple[float, ...]], ...]
-) -> VerificationRecord:
-    """The record of ``g``; ``family`` pairs each extremal graph with its eigenvalues."""
-    witnesses = cut_branch_values(g, d)
-    s = spectrum(g)
-    lam2 = s.lambda2
-    if lam2 > thr_value + EIG_TOL:
-        cmp = "above"
-    elif lam2 < thr_value - EIG_TOL:
-        cmp = "below"
-    else:
-        cmp = "equal"
-    iso = cmp == "equal" and any(
+def _with_spectra(graphs) -> Iterator[tuple[Graph, SpectralSummary]]:
+    """Each graph with its spectrum, one stacked eigensolve per chunk of a run of one order."""
+    for n, run in groupby(graphs, key=lambda g: g.n):
+        size = max(1, CHUNK_ENTRIES // (n * n))
+        while chunk := list(islice(run, size)):
+            yield from zip(chunk, spectra(chunk))
+
+
+def _in_family(g: Graph, eigenvalues, family) -> bool:
+    """Whether ``g`` is isomorphic to a graph of ``family``, (graph, eigenvalues) pairs."""
+    return any(
         g.n == h.n
-        and all(abs(x - y) <= SPECTRUM_TOL for x, y in zip(s.eigenvalues, ev))
+        and all(abs(x - y) <= SPECTRUM_TOL for x, y in zip(eigenvalues, ev))
         and is_isomorphic(g, h)
         for h, ev in family
     )
-    return VerificationRecord(to_graph6(g), g.n, d, witnesses, lam2, cmp, iso)
+
+
+def _examine(g: Graph, s: SpectralSummary, d: int, thr, family) -> VerificationRecord:
+    """The record of ``g``, whose spectrum is ``s``; ``family(c)`` pairs each
+    graph of ``extremal_family(d, c)`` with its eigenvalues."""
+    witnesses = cut_branch_values(g, d)
+    lam2 = s.lambda2
+    if lam2 > thr.value + EIG_TOL:
+        cmp = "above"
+    elif lam2 < thr.value - EIG_TOL:
+        cmp = "below"
+    else:
+        cmp = "equal"
+    met = {c for _, c in witnesses if abs(lam2 - lambda2_value(d, c)) <= EIG_TOL}
+    tested = met | {thr.c_star} if cmp == "equal" else met
+    members = {c for c in tested if _in_family(g, s.eigenvalues, family(c))}
+    iso = cmp == "equal" and thr.c_star in members
+    return VerificationRecord(to_graph6(g), g.n, d, witnesses, lam2, cmp, iso, met <= members)
 
 
 def verify_theorem(
@@ -164,18 +189,24 @@ def verify_theorem(
 ) -> tuple[TheoremReport, list[VerificationRecord]]:
     """Sweep generated graphs against the sharp threshold and the branch bounds.
 
-    A counterexample is a cut-vertex graph strictly below the threshold, an
-    equality case isomorphic to no member of the extremal family (equality is
-    only asserted in exhaustive mode), or a graph below the bound of one of
-    its own branch degrees: a witness (u, c) needs lambda2 at least
-    ``lambda2_value(d, c)``.  Each graph is listed at most once.  ``samples``
-    and ``seed`` drive random mode and are rejected in exhaustive mode.
+    A counterexample is a cut-vertex graph strictly below the threshold, a
+    graph below the bound of one of its own branch degrees (a witness (u, c)
+    needs lambda2 at least ``lambda2_value(d, c)``), or, in exhaustive mode
+    only, a graph at a bound that is isomorphic to no member of its extremal
+    family: an equality case outside the threshold's family, or a witness
+    (u, c) at ``lambda2_value(d, c)`` outside ``extremal_family(d, c)``.
+    Each graph is listed at most once.  ``samples`` and ``seed`` drive random
+    mode and are rejected in exhaustive mode.
     """
     thr = threshold(d)
-    family = tuple((h, spectrum(h).eigenvalues) for h in extremal_family(d, thr.c_star))
+
+    @cache
+    def family(c):
+        return tuple((h, spectrum(h).eigenvalues) for h in extremal_family(d, c))
+
     records = [
-        _examine(g, d, thr.value, family)
-        for g in _generate(d, n_max, mode, samples, seed)
+        _examine(g, s, d, thr, family)
+        for g, s in _with_spectra(_generate(d, n_max, mode, samples, seed))
     ]
     # the CSV contract lists records in graph6-lexicographic order
     records.sort(key=lambda r: r.graph6)
@@ -190,7 +221,10 @@ def verify_theorem(
             equality.append(rec.graph6)
         if (
             rec.threshold_cmp == "below"
-            or (rec.threshold_cmp == "equal" and mode == "exhaustive" and not rec.iso_extremal)
+            or (
+                mode == "exhaustive"
+                and (not rec.branch_extremal or (rec.threshold_cmp == "equal" and not rec.iso_extremal))
+            )
             or any(rec.lambda2 < lambda2_value(d, c) - EIG_TOL for _, c in rec.witnesses)
         ):
             counterexamples.append(rec.graph6)

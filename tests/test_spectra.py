@@ -16,6 +16,7 @@ from eigencut import (
     cycle,
     cycles_union_complement,
     eigenvalues_symmetric,
+    enumerate_connected_regular,
     graph_from_edges,
     is_equitable,
     largest_root,
@@ -24,6 +25,7 @@ from eigencut import (
     tridiagonal_eigenvalues,
     tridiagonal_reduce,
 )
+from eigencut.spectra import spectra
 
 
 def random_graph(rng, n, p=0.4):
@@ -93,6 +95,25 @@ class TestEigenvalues:
             assert spectrum(g).eigenvalues == tuple(eigenvalues_symmetric(a).tolist())
             if n >= 2:
                 assert spectrum(g).lambda2 == float(np.linalg.eigvalsh(oracle)[-2])
+
+    def test_stacked_spectra_match_one_graph_solves(self):
+        # one eigvalsh call on the stack gives each graph's own eigenvalues, bit for bit
+        for n in range(4, 13, 2):
+            graphs = list(enumerate_connected_regular(n, 3))
+            stacked = spectra(graphs)
+            assert len(stacked) == len(graphs)
+            for g, s in zip(graphs, stacked):
+                assert s == spectrum(g)
+                oracle = np.zeros((n, n))
+                for u, v in g.edges():
+                    oracle[u, v] = oracle[v, u] = 1.0
+                assert s.eigenvalues == tuple(np.linalg.eigvalsh(oracle)[::-1].tolist())
+
+    def test_stacked_spectra_need_one_order(self):
+        with pytest.raises(ValueError, match="one order"):
+            spectra([cycle(5), cycle(6)])
+        with pytest.raises(ValueError, match="one order"):
+            spectra([])
 
     def test_regular_top_eigenvalue(self):
         for g, d in [(complete(5), 4), (cycle(7), 2), (cycles_union_complement([3, 3]), 3)]:

@@ -7,6 +7,7 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import oracles
@@ -22,6 +23,7 @@ from eigencut import (
     prior_bounds,
     records_to_csv,
     threshold,
+    to_graph6,
     verify_theorem,
 )
 
@@ -141,6 +143,65 @@ class TestTheoremSweep:
         assert time.perf_counter() - start < 1.0
         assert report.passed and len(report.equality_cases) == 6
         assert all(rec.threshold_cmp == "equal" and rec.iso_extremal for rec in records)
+
+    def test_every_branch_family_member_is_extremal(self, monkeypatch):
+        # at (d, c) = (9, 2) the branch bound has two extremal graphs:
+        # cycle blocks (7) and (4, 3), both above the d = 9 threshold
+        from eigencut import extremal
+
+        family = extremal.extremal_family(9, 2)
+        assert len(family) == 2
+        monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter(family))
+        report, records = verify_theorem(9, 22)
+        assert report.passed and report.cut_vertex_graphs == 2 and not report.equality_cases
+        assert all(rec.threshold_cmp == "above" and rec.branch_extremal for rec in records)
+
+        # a graph at its branch bound that is no family member is a counterexample,
+        # judged in exhaustive mode only
+        monkeypatch.setattr("eigencut.verify.extremal_family", lambda d, c: family[:1])
+        report, records = verify_theorem(9, 22)
+        other = build_extremal(9, 2, (4, 3))
+        assert report.counterexamples == (to_graph6(other),)
+        report, records = verify_theorem(9, 22, mode="random", samples=2, seed=0)
+        assert report.passed
+        assert [rec.branch_extremal for rec in records if rec.graph6 == to_graph6(other)] == [False]
+
+    def test_interleaved_orders_match_one_graph_sweeps(self, monkeypatch):
+        # runs of one order are stacked; a later run of an earlier order starts a new stack
+        tens = list(enumerate_connected_regular(10, 3))
+        graphs = tens[:9] + list(enumerate_connected_regular(12, 3)) + tens[9:]
+        monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter(graphs))
+        report, records = verify_theorem(3, 12)
+        alone = []
+        for g in graphs:
+            monkeypatch.setattr("eigencut.verify._generate", lambda *args, g=g: iter([g]))
+            alone += verify_theorem(3, 12)[1]
+        assert records == sorted(alone, key=lambda r: r.graph6)
+        assert report.graphs_checked == 19 + 85 and report.equality_cases
+
+    @pytest.mark.parametrize(
+        "args, order_12_stacks",
+        [((3, 70, "random", 30, 3), [2]), ((3, 12), [28, 28, 28, 1])],
+    )
+    def test_stacks_hold_one_order_within_the_entry_cap(self, monkeypatch, args, order_12_stacks):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        _, records = verify_theorem(*args)
+        for k, n, m in shapes:
+            assert n == m and 1 <= k <= max(1, 4096 // (n * n))
+        assert [k for k, n, _ in shapes if n == 12] == order_12_stacks
+        # every swept graph is in a stack; the rest are extremal family members
+        stacked = Counter(n for k, n, _ in shapes for _ in range(k))
+        assert stacked >= Counter(rec.n for rec in records)
+        assert stacked.total() - len(records) <= 1
+        if args[2:]:
+            assert [k for k, n, _ in shapes if n == 64] == [1] * 5
 
     def test_exhaustive_csv_pinned(self):
         # every byte of the exhaustive reference sweeps, the .10g lambda2
