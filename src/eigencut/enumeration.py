@@ -75,9 +75,7 @@ This enumerates all 621 connected cubic graphs on up to 14 vertices in
 about 0.31 s, all 1894 connected quartic graphs on up to 12 vertices in
 about 0.68 s and the 4060 cubic graphs on 16 vertices in about 1.5 s (CPU
 time on a 2-core Xeon shared with other jobs, Python 3.11, medians of 10,
-5 and 5 runs alternated with the enumerator that built every candidate
-before testing its degrees and searched the tail from its first vertex:
-0.38 s, 0.85 s and 2.0 s).
+5 and 5 runs).
 
 The random sampler is exactly uniform over labelled connected d-regular
 graphs.  An attempt gives each of the n*d degree stubs a random 64-bit key,
@@ -90,10 +88,9 @@ at once, drawn with one ``getrandbits`` call.  The first batch is about the
 attempts one graph takes, exp((d*d-1)/4), and each next one doubles, up to
 keys for 4096 stubs (45 cubic attempts at n = 30): one graph costs about
 one batch, and a run of many graphs of one order shares the numpy calls
-among many attempts without holding large arrays.  The 5000 graphs of the seed-7 cubic sweep (n <= 30) are sampled in
-about 0.15 s, against about 0.28 s for the sampler that paired one stub at
-a time and abandoned an attempt at its first loop or repeated edge (in
-process, min of 5, 2-core Xeon, Python 3.11).
+among many attempts without holding large arrays.  The 5000 graphs of
+the seed-7 cubic sweep (n <= 30) are sampled in about 0.15 s (in process,
+min of 5, 2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations

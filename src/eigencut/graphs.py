@@ -9,7 +9,6 @@ immutable; every operation here is a pure function.
 from __future__ import annotations
 
 import binascii
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -118,19 +117,17 @@ def matching_complement(n: int) -> Graph:
     """Complement of a perfect matching on ``n`` (even) vertices; (n-2)-regular."""
     if n < 2 or n % 2:
         raise ValueError("a perfect matching needs a positive even order")
-    matching = graph_from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
-    return complement(matching)
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)))
 
 
 def disjoint_union(parts) -> Graph:
-    parts = list(parts)
-    n = sum(p.n for p in parts)
     rows = []
     offset = 0
     for p in parts:
         rows.extend(r << offset for r in p.rows)
         offset += p.n
-    return Graph(n, tuple(rows))
+    return Graph(offset, tuple(rows))
 
 
 def cycles_union_complement(lengths) -> Graph:
@@ -150,20 +147,15 @@ def sequential_join(parts) -> Graph:
     parts = list(parts)
     if not parts:
         raise ValueError("sequential join needs at least one part")
-    g = disjoint_union(parts)
-    rows = list(g.rows)
-    offsets = [0]
-    for p in parts:
-        offsets.append(offsets[-1] + p.n)
-    for i in range(len(parts) - 1):
-        left = range(offsets[i], offsets[i + 1])
-        right_mask = _mask(range(offsets[i + 1], offsets[i + 2]))
-        left_mask = _mask(left)
-        for v in left:
-            rows[v] |= right_mask
-        for v in range(offsets[i + 1], offsets[i + 2]):
-            rows[v] |= left_mask
-    return Graph(g.n, tuple(rows))
+    rows = []
+    offset = prev = 0  # prev: the previous part's vertex mask
+    for i, p in enumerate(parts):
+        end = offset + p.n
+        nxt = ((1 << parts[i + 1].n) - 1) << end if i + 1 < len(parts) else 0
+        rows.extend(r << offset | prev | nxt for r in p.rows)
+        prev = ((1 << p.n) - 1) << offset
+        offset = end
+    return Graph(offset, tuple(rows))
 
 
 def is_regular(g: Graph) -> int | None:
@@ -337,28 +329,22 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 
     n = a.n
     class_size = {c: ca.count(c) for c in set(ca)}
-    # map vertices of `a` in BFS order from a vertex in the rarest class, so
-    # every new vertex (in a connected component) is constrained by a mapped
-    # neighbour as early as possible
-    start = min(range(n), key=lambda v: (class_size[ca[v]], ca[v], v))
+    # map vertices of `a` in BFS order, each component from its vertex in the
+    # rarest class, so every new vertex (in a connected component) is
+    # constrained by a mapped neighbour as early as possible
     order = []
-    seen = set()
-    queue = deque([start])
-    seen.add(start)
-    while queue or len(order) < n:
-        if not queue:
-            rest = min(
-                (v for v in range(n) if v not in seen),
-                key=lambda v: (class_size[ca[v]], ca[v], v),
-            )
-            queue.append(rest)
-            seen.add(rest)
-        v = queue.popleft()
-        order.append(v)
-        for w in _bits(a.rows[v]):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+    seen = 0
+    for root in sorted(range(n), key=lambda v: (class_size[ca[v]], ca[v], v)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        k = len(order)
+        order.append(root)
+        while k < len(order):  # `order` is the BFS queue: order[k] is next
+            fresh = a.rows[order[k]] & ~seen
+            seen |= fresh
+            order.extend(_bits(fresh))
+            k += 1
 
     image = [-1] * n
     used = [False] * n
@@ -393,9 +379,9 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 
 _G6_HEADER = ">>graph6<<"
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-_BASE64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_G6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_G6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 
 def to_graph6(g: Graph) -> str:
@@ -429,7 +415,7 @@ def from_graph6(text: str) -> Graph:
     if not s:
         raise ValueError("empty graph6 string")
     data = s.encode("ascii", errors="strict")
-    if any(b < 63 or b > 126 for b in data):
+    if not 63 <= min(data) <= max(data) <= 126:
         raise ValueError("graph6 byte out of range 63..126")
     if data[0] == 126:
         if len(data) < 4 or data[1] == 126:
@@ -443,19 +429,17 @@ def from_graph6(text: str) -> Graph:
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise ValueError(f"graph6 body length {len(body)}, expected {expect}")
-    bits = []
-    for byte in body:
-        val = byte - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+    # The inverse of to_graph6: "?" pads the body to whole base64 quanta
+    # with zero bits, and bit k of `stream` is the k-th bit of the sequence.
+    body = (body + b"?" * (-len(body) % 4)).translate(_G6_TO_BASE64)
+    stream = int.from_bytes(binascii.a2b_base64(body).translate(_BIT_REVERSED), "little")
+    if stream >> nbits:
         raise ValueError("nonzero padding bits in graph6 encoding")
     rows = [0] * n
-    idx = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
+        rows[j] = col = stream & ((1 << j) - 1)  # column j: the neighbours below j
+        stream >>= j
+        for i in _bits(col):
+            rows[i] |= 1 << j
     return Graph(n, tuple(rows))
 

@@ -53,7 +53,7 @@ class VertexPartition:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Monic polynomial, coefficients in descending degree order: ints, or exact dyadic floats."""
+    """Monic polynomial, coefficients in descending degree order: ints, or floats read at their exact binary value."""
 
     coeffs: tuple[float, ...]
 
@@ -87,10 +87,12 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def _square(m, tridiagonal: bool = False) -> np.ndarray:
-    """``m`` as a float array; raises unless it is square (and tridiagonal, if asked)."""
+    """``m`` as a float array; raises unless it is square and finite (and tridiagonal, if asked)."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     if tridiagonal and (np.any(np.triu(a, 2)) or np.any(np.tril(a, -2))):
         raise ValueError("matrix is not tridiagonal")
     return a
@@ -264,6 +266,8 @@ def largest_root(p: Polynomial, lo: float, hi: float) -> float:
     against q(hi) does.
     """
     lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("bracket ends must be finite")
     if not lo < hi:
         raise ValueError("need lo < hi")
     base = _sturm_chain(_integers(p.coeffs)[0])

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from eigencut import build_extremal, extremal, from_graph6, is_isomorphic, is_regular
+from eigencut import VerificationError, build_extremal, extremal, from_graph6, is_isomorphic, is_regular
 from eigencut.cli import main
 
 
@@ -95,6 +95,14 @@ class TestSpectrum:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["n"] == 3
+
+    def test_blank_input_rejected(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n  \n\t\n"))
+        code, out, err = run_cli(capsys, "spectrum")
+        assert code == 2 and out == ""
+        assert err == "error: no graph6 input\n"
 
     def test_empty_in_rejected(self, capsys, monkeypatch):
         import io
@@ -330,6 +338,15 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--d", "3", "--n-max", "10")
         assert code == 0 and json.loads(out)["cut_vertex_graphs"] > 0
         assert err == ""
+
+    def test_verification_failure_exits_1(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise VerificationError("odd branch degree 1 at cut vertex 1")
+
+        monkeypatch.setattr("eigencut.verify.verify_theorem", failing)
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--n-max", "10")
+        assert code == 1 and out == ""
+        assert err == "verification failure: odd branch degree 1 at cut vertex 1\n"
 
 
 class TestCompareBounds:

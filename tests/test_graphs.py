@@ -75,6 +75,15 @@ class TestBuildingBlocks:
         with pytest.raises(ValueError):
             matching_complement(3)
 
+    def test_matching_complement_rows(self):
+        for n in range(2, 21, 2):
+            matching = graph_from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+            assert matching_complement(n).rows == complement(matching).rows
+
+    def test_disjoint_union_of_generator(self):
+        g = disjoint_union(complete(k) for k in (1, 3, 2))
+        assert g == graph_from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5)])
+
     def test_cycles_union_complement(self):
         assert cycles_union_complement([3]).edge_count() == 0
         g = cycles_union_complement([3, 3])
@@ -95,6 +104,20 @@ class TestBuildingBlocks:
         g = sequential_join([complete(2), matching_complement(2), k1])
         assert g.n == 5
         assert g.degree(0) == g.degree(1) == 3  # 1 inside K2 + 2 across
+
+    def test_sequential_join_one_part(self):
+        for part in (complete(1), cycle(5), matching_complement(4), Graph(0, ())):
+            assert sequential_join([part]) == part
+        with pytest.raises(ValueError, match="at least one part"):
+            sequential_join([])
+
+    def test_sequential_join_empty_middle_part(self):
+        # a 0-vertex part joins nothing: its neighbours get no edge across it
+        empty = Graph(0, ())
+        parts = [complete(2), empty, complete(3)]
+        assert sequential_join(parts) == disjoint_union(parts)
+        g = sequential_join([complete(1), complete(2), empty, complete(1)])
+        assert g == graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
 
     def test_sequential_join_degree_law(self):
         rng = random.Random(7)
@@ -261,6 +284,27 @@ class TestSerialization:
         for n in [0, 63, 64, 100] + [rng.randint(63, 100) for _ in range(8)]:
             check(random_graph(rng, n, p=rng.uniform(0.02, 0.5)))
 
+    def test_round_trip_at_size_header_boundary(self):
+        # n = 62 is the last order with a one-byte size, n = 63 the first with four
+        rng = random.Random(23)
+        for n, prefix in ((62, "}"), (63, "~??~")):
+            for p in (0.0, 0.3, 1.0):
+                g = random_graph(rng, n, p)
+                text = to_graph6(g)
+                assert text.startswith(prefix)
+                assert from_graph6(text) == g
+
+    def test_nonzero_padding_bits_rejected(self):
+        # every n from 2 to 9 whose n(n-1)/2 bits do not fill whole bytes, and one n >= 63
+        for n in [2, 3, 5, 6, 7, 8, 63]:
+            text = to_graph6(Graph(n, (0,) * n))
+            padding = -(n * (n - 1) // 2) % 6
+            assert padding
+            for k in range(padding):  # padding bits are the last byte's low bits
+                bad = text[:-1] + chr(63 + (1 << k))
+                with pytest.raises(ValueError, match="nonzero padding bits"):
+                    from_graph6(bad)
+
     def test_decode_errors(self):
         with pytest.raises(ValueError):
             from_graph6("B!")  # byte below 63
@@ -270,6 +314,9 @@ class TestSerialization:
             from_graph6("B~")  # nonzero padding bits
         with pytest.raises(ValueError):
             from_graph6("")
+        for text in ("~??", "~~??????????"):  # truncated, and the 8-byte size form
+            with pytest.raises(ValueError, match="unsupported or truncated graph6 size header"):
+                from_graph6(text)
 
     def test_header_accepted(self):
         assert from_graph6(">>graph6<<Bw") == complete(3)

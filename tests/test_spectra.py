@@ -64,6 +64,19 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="not symmetric"):
             eigenvalues_symmetric(a)
 
+    def test_rejects_non_finite(self):
+        # each a one-line ValueError, not an OverflowError, nan eigenvalues or a RuntimeWarning
+        calls = [
+            lambda: eigenvalues_symmetric([[math.nan]]),
+            lambda: eigenvalues_symmetric([[0, math.inf], [math.inf, 0]]),
+            lambda: char_poly([[math.inf]]),
+            lambda: tridiagonal_eigenvalues([[1, math.inf], [1, 0]]),
+            lambda: tridiagonal_reduce([[1, -math.inf], [1, 0]], 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                call()
+
     def test_trace_identities(self):
         rng = random.Random(23)
         for _ in range(25):
@@ -303,6 +316,12 @@ class TestLargestRoot:
             largest_root(Polynomial((1, -3)), 0, 2)  # the root 3 lies above the interval
         with pytest.raises(ValueError):
             largest_root(Polynomial((1, -3)), 2, 2)
+
+    def test_non_finite_bracket_rejected(self):
+        p = Polynomial((1, 0, -2))
+        for lo, hi in [(0, math.inf), (-math.inf, 2), (math.nan, 2), (0, math.nan)]:
+            with pytest.raises(ValueError, match="^bracket ends must be finite$"):
+                largest_root(p, lo, hi)
 
     def test_close_roots(self):
         # (x-1)(x-100)(x-101): 100 and 101 lie in one 1/64 slice of [0, 127]

@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from eigencut import (
+    VerificationError,
     build_extremal,
     cheeger_check,
     complete,
@@ -59,6 +60,11 @@ class TestWitnessClassification:
         assert cut_branch_values(petersen, 3) == ()
         assert spectrum(petersen).lambda2 == pytest.approx(1.0, abs=1e-9)
         assert spectrum(petersen).lambda2 < threshold(3).value
+
+    def test_odd_branch_degree_rejected_at_even_degree(self):
+        path = graph_from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(VerificationError, match="odd branch degree 1 at cut vertex 1 of an even-degree graph"):
+            cut_branch_values(path, 4)
 
     def test_branch_degrees_normalized(self):
         g = build_extremal(8, 2)
@@ -234,6 +240,10 @@ class TestTheoremSweep:
         for rec in records:
             if rec.witnesses:
                 assert rec.lambda2 >= threshold(5).value - 1e-8
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'cut'"):
+            verify_theorem(3, 10, mode="cut")
 
     def test_random_mode_needs_seed(self):
         with pytest.raises(ValueError):
