@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import json
 import os
-import stat
 import sys
 
 from . import extremal, verify
@@ -47,11 +46,11 @@ def _cmd_spectrum(args) -> int:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    # every line is decoded before any is printed, so bad input writes nothing
+    graphs = [from_graph6(ln) for ln in text.splitlines() if ln.strip()]
+    if not graphs:
         raise ValueError("no graph6 input")
-    for ln in lines:
-        g = from_graph6(ln)
+    for g in graphs:
         s = spectrum(g)
         sys.stdout.write(
             json.dumps(
@@ -94,13 +93,13 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # open the CSV before the sweep, so an unwritable path fails at once, but
-    # empty it only after the sweep, so a failed sweep leaves it as it was,
-    # and remove it again if this run created it; only a regular file is
-    # emptied, since a device such as /dev/null cannot be truncated
+    # the CSV path is opened before the sweep and held open, so an unwritable
+    # path fails at once and a FIFO keeps its reader, but the records are
+    # written through a fresh open after the sweep, so a failed sweep leaves
+    # the path as it was; a file this run created is removed if the run fails
     created = args.csv is not None and not os.path.exists(args.csv)
     try:
-        with contextlib.nullcontext() if args.csv is None else open(args.csv, "a") as fh:
+        with contextlib.nullcontext() if args.csv is None else open(args.csv, "a"):
             report, records = verify.verify_theorem(
                 args.d,
                 args.n_max,
@@ -108,10 +107,9 @@ def _cmd_verify(args) -> int:
                 samples=args.samples,
                 seed=args.seed,
             )
-            if fh is not None:
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    fh.truncate(0)
-                fh.writelines(verify.csv_lines(records))
+            if args.csv is not None:
+                with open(args.csv, "w") as fh:
+                    fh.writelines(verify.csv_lines(records))
     except BaseException:
         if created:
             with contextlib.suppress(FileNotFoundError):  # the open itself may have failed

@@ -135,7 +135,18 @@ def cycles_union_complement(lengths) -> Graph:
     lengths = list(lengths)
     if not lengths or any(k < 3 for k in lengths):
         raise ValueError("every cycle length must be at least 3")
-    return complement(disjoint_union(cycle(k) for k in lengths))
+    n = sum(lengths)
+    full = (1 << n) - 1
+    rows = []
+    offset = 0
+    for k in lengths:
+        # vertex offset + i of a k-cycle is adjacent to offset + (i ± 1) mod k
+        rows.extend(
+            full ^ (1 << offset + i) ^ (1 << offset + (i - 1) % k) ^ (1 << offset + (i + 1) % k)
+            for i in range(k)
+        )
+        offset += k
+    return Graph(n, tuple(rows))
 
 
 def sequential_join(parts) -> Graph:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import groupby, islice
 from typing import Iterator
@@ -85,18 +85,8 @@ class TheoremReport:
     cut_vertex_graphs: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "n_max": self.n_max,
-                "mode": self.mode,
-                "pass": self.passed,
-                "equality_cases": list(self.equality_cases),
-                "counterexamples": list(self.counterexamples),
-                "graphs_checked": self.graphs_checked,
-                "cut_vertex_graphs": self.cut_vertex_graphs,
-            }
-        )
+        """The fields in order, ``passed`` under the key ``"pass"``."""
+        return json.dumps({"pass" if k == "passed" else k: v for k, v in asdict(self).items()})
 
 
 def cut_branch_values(g: Graph, d: int) -> tuple[tuple[int, int], ...]:

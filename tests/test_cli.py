@@ -42,6 +42,11 @@ class TestBuild:
         assert code == 2 and out == ""
         assert err == "error: bad cycle composition '3,x'\n"
 
+    def test_short_cycle_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "build", "--d", "9", "--c", "2", "--cycles", "2,5")
+        assert code == 2 and out == ""
+        assert err == "error: cycle lengths must be at least 3\n"
+
     def test_empty_composition_rejected(self, capsys):
         code, out, err = run_cli(capsys, "build", "--d", "5", "--c", "3", "--cycles", "")
         assert code == 2 and out == ""
@@ -85,6 +90,15 @@ class TestSpectrum:
         path.write_text("B!\n")
         code, _, err = run_cli(capsys, "spectrum", "--in", str(path))
         assert code == 2 and "error" in err
+
+    def test_malformed_later_line_prints_nothing(self, capsys, monkeypatch):
+        # every line is decoded before the first is printed
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("I}KGGGB?w\nnot-a-graph\n"))
+        code, out, err = run_cli(capsys, "spectrum")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_reads_stdin(self, capsys, monkeypatch):
         import io
@@ -318,12 +332,59 @@ class TestVerify:
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
     def test_csv_to_character_device(self, capsys):
-        # a device cannot be truncated, so the records are just written to it
+        # the records are written to a device such as /dev/null as to a file
         code, out, err = run_cli(
             capsys, "verify", "--d", "3", "--n-max", "8", "--csv", os.devnull
         )
         assert code == 0 and err.startswith("note: vacuous verdict")
         assert json.loads(out)["graphs_checked"] == 8
+
+    @pytest.mark.parametrize("change", ["replace", "remove"])
+    def test_csv_path_changed_during_sweep(self, capsys, tmp_path, monkeypatch, change):
+        # the records go to whatever the path names once the sweep is done
+        import eigencut.verify
+
+        sweep = eigencut.verify.verify_theorem
+        csv_path = tmp_path / "records.csv"
+
+        def changing(*args, **kwargs):
+            result = sweep(*args, **kwargs)
+            if change == "replace":
+                (tmp_path / "other.csv").write_bytes(b"other bytes\n")
+                os.replace(tmp_path / "other.csv", csv_path)
+            else:
+                os.remove(csv_path)
+            return result
+
+        monkeypatch.setattr("eigencut.verify.verify_theorem", changing)
+        code, out, _ = run_cli(capsys, "verify", "--d", "3", "--n-max", "10", "--csv", str(csv_path))
+        assert code == 0 and json.loads(out)["graphs_checked"] == 27
+        _, records = sweep(3, 10)
+        assert csv_path.read_text() == eigencut.verify.records_to_csv(records)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_csv_to_fifo(self, capsys, tmp_path):
+        # the FIFO's reader sees every line and then end of file
+        import threading
+
+        fifo = tmp_path / "records.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo) as fh:
+                received.append(fh.read())
+            if received[0].count("\n") < 28:  # free a writer blocked on a second open
+                with open(fifo) as fh:
+                    fh.read()
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code, _, _ = run_cli(capsys, "verify", "--d", "3", "--n-max", "10", "--csv", str(fifo))
+        reader.join(timeout=60)
+        assert code == 0 and not reader.is_alive()
+        lines = received[0].splitlines()
+        assert len(lines) == 28 and lines[0].startswith("graph6,")
 
     def test_random_requires_seed(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--d", "5", "--n-max", "16", "--mode", "random")
@@ -371,6 +432,11 @@ class TestCompareBounds:
             code, out, err = run_cli(capsys, "compare-bounds", "--d", d, "--n", n)
             assert code == 2 and out == "", (d, n)
             assert err.startswith("error: ") and err.count("\n") == 1, (d, n)
+
+    def test_small_degree_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "compare-bounds", "--d", "2", "--n", "5")
+        assert code == 2 and out == ""
+        assert err == "error: degree must be at least 3\n"
 
 
 class TestDeterminism:

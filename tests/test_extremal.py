@@ -443,3 +443,21 @@ class TestExtremalFamily:
         assert len(extremal.extremal_family(9, 2)) == 2  # d - c = 7: (7) and (4, 3)
         with pytest.raises(ValueError):
             extremal.extremal_family(4, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lambda2_polynomial(3, 0), "need 1 <= c <= d-1"),
+        (lambda: ExtremalSpec(9, 2, (2, 5)), "cycle lengths must be at least 3"),
+        (lambda: BranchParams(5, 5, 2, 1).validate(4, 0), "need 1 <= c <= d-1"),
+        (lambda: BranchParams(5, 5, 2, 0).validate(4, 2), "t out of range"),
+        (lambda: saturated_cut_reduction(4, 0, 3, 3), "need 1 <= c <= d-1"),
+        (lambda: cut_parameter_sweep(2, 1), "invalid (d, c)"),
+    ],
+    ids=["polynomial-c0", "short-cycle", "branch-c0", "branch-t0", "saturated-c0", "sweep-d2"],
+)
+def test_error_paths(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.value.args == (message,)

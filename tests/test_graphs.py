@@ -1,6 +1,7 @@
 """Graph construction, structure queries, isomorphism, and serialization."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,6 +97,23 @@ class TestBuildingBlocks:
             assert is_regular(cycles_union_complement(lengths)) == total - 3
         with pytest.raises(ValueError):
             cycles_union_complement([2, 3])
+
+    def test_cycles_union_complement_rows(self):
+        # every composition (ordered) into parts >= 3 with total <= 15
+        def compositions(total):
+            if total == 0:
+                yield ()
+            for k in range(3, total + 1):
+                for rest in compositions(total - k):
+                    yield (k,) + rest
+
+        checked = 0
+        for total in range(3, 16):
+            for lengths in compositions(total):
+                expected = complement(disjoint_union(cycle(k) for k in lengths))
+                assert cycles_union_complement(lengths) == expected, lengths
+                checked += 1
+        assert checked == 188
 
     def test_sequential_join_small(self):
         k1 = complete(1)
@@ -342,6 +360,48 @@ class TestValidation:
         rows[69] = 1 << 69
         with pytest.raises(ValueError, match="self-loop at vertex 69"):
             Graph(70, tuple(rows))
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda: Graph(-1, ()), ValueError("vertex count must be non-negative")),
+            (lambda: Graph(2, (0,)), ValueError("rows must have one mask per vertex")),
+            (lambda: graph_from_edges(3, [(1, 1)]), ValueError("self-loop at vertex 1")),
+            (lambda: complete(0), ValueError("complete graph needs at least one vertex")),
+            (lambda: is_regular(Graph(0, ())), None),
+            (lambda: articulation_points(Graph(0, ())), []),
+            (lambda: is_isomorphic(Graph(0, ()), Graph(0, ())), True),
+            (
+                lambda: edges_between(Graph(3, (0, 0, 0)), [5], [0]),
+                ValueError("vertex set references a vertex >= n"),
+            ),
+            (
+                # the size check reads only n, so a stand-in spares validating
+                # 258,048 empty rows (seconds, as each row is masked at n bits)
+                lambda: to_graph6(SimpleNamespace(n=258048, rows=())),
+                ValueError("graph too large for this graph6 encoder"),
+            ),
+        ],
+        ids=[
+            "negative-order",
+            "row-count",
+            "edge-self-loop",
+            "empty-complete",
+            "empty-not-regular",
+            "empty-no-cut-vertex",
+            "empty-isomorphic",
+            "edges-between-range",
+            "graph6-too-large",
+        ],
+    )
+    def test_error_paths(self, call, expected):
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as info:
+                call()
+            assert info.value.args == expected.args
+        else:
+            result = call()
+            assert type(result) is type(expected) and result == expected
 
     def test_witness_is_frozen(self):
         w = CutVertexWitness(0, (frozenset({1}),), (1,))

@@ -373,3 +373,18 @@ class TestLargestRoot:
         tiny = 2.0**-1000
         assert largest_root(Polynomial((1, -tiny)), -1, 1) == tiny
         assert largest_root(Polynomial((1, tiny)), -1, 1) == -tiny
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: VertexPartition(((0,), ())), "partition blocks must be nonempty"),
+        (lambda: tridiagonal_reduce([[1.0]], 1), "need at least a 2x2 matrix to reduce"),
+        (lambda: tridiagonal_eigenvalues([[0, 1], [-1, 0]]), "off-diagonal products must be positive"),
+    ],
+    ids=["empty-block", "reduce-1x1", "negative-off-diagonal-product"],
+)
+def test_error_paths(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.value.args == (message,)

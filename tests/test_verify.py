@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from eigencut import (
+    Graph,
     VerificationError,
     build_extremal,
     cheeger_check,
@@ -255,6 +256,15 @@ class TestTheoremSweep:
         for key in ('"d"', '"n_max"', '"mode"', '"pass"', '"equality_cases"', '"counterexamples"'):
             assert key in payload
 
+    def test_report_json_pinned(self):
+        # every key, in field order, with ``passed`` written as "pass"
+        report, _ = verify_theorem(3, 10)
+        assert report.to_json() == (
+            '{"d": 3, "n_max": 10, "mode": "exhaustive", "pass": true, '
+            '"equality_cases": ["I}KGGGB?w"], "counterexamples": [], '
+            '"graphs_checked": 27, "cut_vertex_graphs": 1}'
+        )
+
     def test_csv_layout(self):
         _, records = verify_theorem(3, 10)
         lines = records_to_csv(records).splitlines()
@@ -337,3 +347,17 @@ class TestPriorBounds:
                 if d == 4 and name == "cioaba_gu":
                     continue  # exact coincidence, no strict margin exists
                 assert table.new_threshold > value
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: edge_expansion(Graph(1, (0,))), "edge expansion needs at least two vertices"),
+        (lambda: prior_bounds(2, 5), "degree must be at least 3"),
+    ],
+    ids=["expansion-one-vertex", "prior-bounds-d2"],
+)
+def test_error_paths(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.value.args == (message,)
