@@ -25,9 +25,8 @@ class Graph:
         if len(self.rows) != self.n:
             raise ValueError("rows must have one mask per vertex")
         rows = self.rows
-        full = (1 << self.n) - 1
         for v, row in enumerate(rows):
-            if row & ~full:
+            if row >> self.n:
                 raise ValueError(f"row {v} references a vertex >= n")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")

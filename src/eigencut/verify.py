@@ -2,21 +2,19 @@
 cut-vertex eigenvalue thresholds, expansion bounds, and prior bounds.
 
 The central check, one sweep: every connected d-regular graph with a cut
-vertex has lambda2 at least the degree-d threshold, and at least the bound
-``lambda2_value(d, c)`` of each normalized branch degree c at each of its
-cut vertices.  A graph at the bound of a witness's branch degree c must be
-isomorphic to a member of ``extremal_family(d, c)``; so an equality case
-must be a member of the family at the threshold's branch degree c*: the one
-graph ``threshold(d).extremal_graph`` for d <= 12 and every even d, and one
-graph per cycle composition for odd d >= 13 (2 graphs at d = 13).  A family
-is built when a graph first meets its bound, and only the members whose
+vertex clears the degree-d threshold and the bound ``lambda2_value(d, c)`` of
+each of its normalized branch degrees c, and meets a bound only as a member
+of that bound's extremal family; ``_examine`` states the rule and decides
+each graph's verdict.  The threshold's family is the one graph
+``threshold(d).extremal_graph`` for d <= 12 and every even d, and one graph
+per cycle composition for odd d >= 13 (2 graphs at d = 13).  A family is
+built when a graph first meets its bound, and only the members whose
 spectrum matches the graph's are tested for isomorphism.  Exhaustive mode
 walks every isomorphism class up to a given order; random mode samples the
 pairing model (``samples`` graphs from ``seed``, options that exhaustive
 mode rejects: the order of every sample is drawn first, then each order's
-graphs in turn) and asserts only the strict side of each bound (a sample
-that happens to meet one is recorded, not judged).  Spectra come from one
-stacked eigensolve per chunk of a run of graphs of one order.
+graphs in turn).  Spectra come from one stacked eigensolve per chunk of a
+run of graphs of one order.
 """
 
 from __future__ import annotations
@@ -152,22 +150,42 @@ def _in_family(g: Graph, eigenvalues, family) -> bool:
     )
 
 
-def _examine(g: Graph, s: SpectralSummary, d: int, thr, family) -> VerificationRecord:
+def _side(value: float, bound: float) -> int:
+    """1 if ``value`` is above ``bound``, 0 within ``EIG_TOL`` of it, -1 below it."""
+    return (value > bound + EIG_TOL) - (value < bound - EIG_TOL)
+
+
+def _examine(
+    g: Graph, s: SpectralSummary, d: int, thr, family, judged: bool, counterexamples: list[str]
+) -> VerificationRecord:
     """The record of ``g``, whose spectrum is ``s``; ``family(c)`` pairs each
-    graph of ``extremal_family(d, c)`` with its eigenvalues."""
+    graph of ``extremal_family(d, c)`` with its eigenvalues.
+
+    A cut-vertex graph is a counterexample, and its graph6 id is appended to
+    ``counterexamples``, when lambda2 is below the threshold or below the
+    bound ``lambda2_value(d, c)`` of one of its witnesses (u, c), or, when
+    ``judged`` (exhaustive mode), when it meets a bound without being
+    isomorphic to a member of that bound's extremal family: an equality case
+    outside the threshold's family, or a witness (u, c) at its bound outside
+    ``extremal_family(d, c)``.  Random mode judges only the strict sides: a
+    sample at a bound is recorded, not judged.
+    """
     witnesses = cut_branch_values(g, d)
     lam2 = s.lambda2
-    if lam2 > thr.value + EIG_TOL:
-        cmp = "above"
-    elif lam2 < thr.value - EIG_TOL:
-        cmp = "below"
-    else:
-        cmp = "equal"
-    met = {c for _, c in witnesses if abs(lam2 - lambda2_value(d, c)) <= EIG_TOL}
-    tested = met | {thr.c_star} if cmp == "equal" else met
+    side = _side(lam2, thr.value)
+    branch_sides = {c: _side(lam2, lambda2_value(d, c)) for c in {c for _, c in witnesses}}
+    met = {c for c, b in branch_sides.items() if b == 0}
+    tested = met | {thr.c_star} if side == 0 else met
     members = {c for c in tested if _in_family(g, s.eigenvalues, family(c))}
-    iso = cmp == "equal" and thr.c_star in members
-    return VerificationRecord(to_graph6(g), g.n, d, witnesses, lam2, cmp, iso, met <= members)
+    iso = side == 0 and thr.c_star in members
+    branch = met <= members
+    graph6 = to_graph6(g)
+    if witnesses and (
+        side < 0 or -1 in branch_sides.values() or (judged and (not branch or (side == 0 and not iso)))
+    ):
+        counterexamples.append(graph6)
+    cmp = ("below", "equal", "above")[side + 1]
+    return VerificationRecord(graph6, g.n, d, witnesses, lam2, cmp, iso, branch)
 
 
 def verify_theorem(
@@ -179,14 +197,9 @@ def verify_theorem(
 ) -> tuple[TheoremReport, list[VerificationRecord]]:
     """Sweep generated graphs against the sharp threshold and the branch bounds.
 
-    A counterexample is a cut-vertex graph strictly below the threshold, a
-    graph below the bound of one of its own branch degrees (a witness (u, c)
-    needs lambda2 at least ``lambda2_value(d, c)``), or, in exhaustive mode
-    only, a graph at a bound that is isomorphic to no member of its extremal
-    family: an equality case outside the threshold's family, or a witness
-    (u, c) at ``lambda2_value(d, c)`` outside ``extremal_family(d, c)``.
-    Each graph is listed at most once.  ``samples`` and ``seed`` drive random
-    mode and are rejected in exhaustive mode.
+    ``_examine`` decides which graphs are counterexamples; each graph is
+    listed at most once.  ``samples`` and ``seed`` drive random mode and are
+    rejected in exhaustive mode.
     """
     thr = threshold(d)
 
@@ -194,39 +207,23 @@ def verify_theorem(
     def family(c):
         return tuple((h, spectrum(h).eigenvalues) for h in extremal_family(d, c))
 
+    counterexamples = []
     records = [
-        _examine(g, s, d, thr, family)
+        _examine(g, s, d, thr, family, mode == "exhaustive", counterexamples)
         for g, s in _with_spectra(_generate(d, n_max, mode, samples, seed))
     ]
     # the CSV contract lists records in graph6-lexicographic order
     records.sort(key=lambda r: r.graph6)
-    equality = []
-    counterexamples = []
-    cut_graphs = 0
-    for rec in records:
-        if not rec.witnesses:
-            continue
-        cut_graphs += 1
-        if rec.threshold_cmp == "equal":
-            equality.append(rec.graph6)
-        if (
-            rec.threshold_cmp == "below"
-            or (
-                mode == "exhaustive"
-                and (not rec.branch_extremal or (rec.threshold_cmp == "equal" and not rec.iso_extremal))
-            )
-            or any(rec.lambda2 < lambda2_value(d, c) - EIG_TOL for _, c in rec.witnesses)
-        ):
-            counterexamples.append(rec.graph6)
+    cut_records = [r for r in records if r.witnesses]
     report = TheoremReport(
         d=d,
         n_max=n_max,
         mode=mode,
         passed=not counterexamples,
-        equality_cases=tuple(equality),
-        counterexamples=tuple(counterexamples),
+        equality_cases=tuple(r.graph6 for r in cut_records if r.threshold_cmp == "equal"),
+        counterexamples=tuple(sorted(counterexamples)),
         graphs_checked=len(records),
-        cut_vertex_graphs=cut_graphs,
+        cut_vertex_graphs=len(cut_records),
     )
     return report, records
 
@@ -305,7 +302,7 @@ def cheeger_check(g: Graph) -> CheegerCheck:
     lam2 = spectrum(g).lambda2
     lower = (d - lam2) / 2
     upper = (2 * d * (d - lam2)) ** 0.5
-    passed = lower <= h + EIG_TOL and h <= upper + EIG_TOL
+    passed = _side(lower, h) <= 0 and _side(h, upper) <= 0
     return CheegerCheck(h, lower, upper, passed)
 
 

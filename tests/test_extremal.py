@@ -12,6 +12,7 @@ from eigencut import extremal
 from eigencut import (
     BranchParams,
     ExtremalSpec,
+    Polynomial,
     articulation_points,
     build_extremal,
     char_poly,
@@ -28,6 +29,7 @@ from eigencut import (
     is_regular,
     lambda2_polynomial,
     lambda2_value,
+    largest_root,
     monotonicity_chain,
     optimal_branch,
     quotient,
@@ -322,6 +324,14 @@ class TestThresholds:
         assert lambda2_value(3, 1) == 2.778457118258389
         assert lambda2_value(4, 2) == 3.6457513110645907
         assert all(type(c) is int for c in lambda2_polynomial(7, 3).coeffs)
+
+    def test_quartic_threshold_is_one_plus_sqrt7(self):
+        # f1(4, 2) = (x^2 - 2x - 6)(x^2 + 2x - 2), so the quartic threshold is
+        # exactly 1 + sqrt(7), the even-degree Cioaba-Gu bound at d = 4
+        a, b = (1, -2, -6), (1, 2, -2)
+        product = [sum(a[i] * b[k - i] for i in range(3) if 0 <= k - i < 3) for k in range(5)]
+        assert f1_poly(4, 2).coeffs == tuple(product)
+        assert lambda2_value(4, 2) == largest_root(Polynomial(a), 3, 4) == 3.6457513110645907
 
     def test_optimal_branch(self):
         assert [optimal_branch(d) for d in range(3, 16)] == [

@@ -1,7 +1,6 @@
 """Graph construction, structure queries, isomorphism, and serialization."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -376,11 +375,10 @@ class TestValidation:
                 ValueError("vertex set references a vertex >= n"),
             ),
             (
-                # the size check reads only n, so a stand-in spares validating
-                # 258,048 empty rows (seconds, as each row is masked at n bits)
-                lambda: to_graph6(SimpleNamespace(n=258048, rows=())),
+                lambda: to_graph6(Graph(258048, (0,) * 258048)),
                 ValueError("graph too large for this graph6 encoder"),
             ),
+            (lambda: Graph(2, (-1, 0)), ValueError("row 0 references a vertex >= n")),
         ],
         ids=[
             "negative-order",
@@ -392,6 +390,7 @@ class TestValidation:
             "empty-isomorphic",
             "edges-between-range",
             "graph6-too-large",
+            "negative-row",
         ],
     )
     def test_error_paths(self, call, expected):

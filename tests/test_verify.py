@@ -1,5 +1,6 @@
 """Threshold sweeps, witness classification, expansion and prior bounds."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,10 +25,12 @@ from eigencut import (
     graph_from_edges,
     prior_bounds,
     records_to_csv,
+    spectrum,
     threshold,
     to_graph6,
     verify_theorem,
 )
+from eigencut.verify import EIG_TOL, _side
 
 
 class TestWitnessClassification:
@@ -210,15 +213,77 @@ class TestTheoremSweep:
         if args[2:]:
             assert [k for k, n, _ in shapes if n == 64] == [1] * 5
 
-    def test_exhaustive_csv_pinned(self):
-        # every byte of the exhaustive reference sweeps, the .10g lambda2
-        # column and the graph6 ids included
-        for d, n_max, digest in [
-            (3, 14, "3aa79a7af874f474a9074c38779e6a5007fc9f6e4f3a26fd8729895cea548833"),
-            (4, 11, "008ed2c44284a6e9b00214edbfebe13a87edb379f50ba0219eb25c0f807a3bb2"),
-        ]:
-            _, records = verify_theorem(d, n_max)
-            assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == digest
+    @pytest.mark.parametrize(
+        "args, out, err, digest",
+        [
+            (
+                "--d 3 --n-max 14",
+                '{"d": 3, "n_max": 14, "mode": "exhaustive", "pass": true, '
+                '"equality_cases": ["I}KGGGB?w"], "counterexamples": [], '
+                '"graphs_checked": 621, "cut_vertex_graphs": 34}\n',
+                "",
+                "3aa79a7af874f474a9074c38779e6a5007fc9f6e4f3a26fd8729895cea548833",
+            ),
+            (
+                "--d 4 --n-max 11",
+                '{"d": 4, "n_max": 11, "mode": "exhaustive", "pass": true, '
+                '"equality_cases": ["J~wWGGB?wF_"], "counterexamples": [], '
+                '"graphs_checked": 350, "cut_vertex_graphs": 1}\n',
+                "",
+                "008ed2c44284a6e9b00214edbfebe13a87edb379f50ba0219eb25c0f807a3bb2",
+            ),
+            (
+                "--d 3 --n-max 30 --mode random --samples 5000 --seed 7",
+                '{"d": 3, "n_max": 30, "mode": "random", "pass": true, '
+                '"equality_cases": ["IGF_of_aO", "IMHK@WQ_g", "IQUA`Sc`G", "IcG_XZOS_", "IhjG?cQ?w"], '
+                '"counterexamples": [], "graphs_checked": 5000, "cut_vertex_graphs": 25}\n',
+                "",
+                "c8f39273346f6e29a77eb7d8ddb1668b9a8ae44a7889cf12a203bd1cd605da27",
+            ),
+            (
+                "--d 5 --n-max 18 --mode random --samples 40 --seed 42",
+                '{"d": 5, "n_max": 18, "mode": "random", "pass": true, '
+                '"equality_cases": [], "counterexamples": [], '
+                '"graphs_checked": 40, "cut_vertex_graphs": 0}\n',
+                "note: vacuous verdict, no cut vertex in any of the 40 graphs checked\n",
+                "128ab7361a3b94f737c926699a97ef3454f0a7019c4cc8b111f21d95424bd13f",
+            ),
+        ],
+        ids=["cubic-n14", "quartic-n11", "random-cubic-seed7", "random-quintic-seed42"],
+    )
+    def test_reference_runs_pinned(self, tmp_path, capsys, args, out, err, digest):
+        # every byte of the reference runs: report, note, and the CSV with its
+        # .10g lambda2 column and graph6 ids
+        from eigencut.cli import main
+
+        path = tmp_path / "out.csv"
+        assert main(["verify", *args.split(), "--csv", str(path)]) == 0
+        assert capsys.readouterr() == (out, err)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("offset", [-2, -0.5, 0.5, 2])
+    def test_branch_bound_window_edge(self, monkeypatch, offset):
+        # the cubic extremal graph alone, its c = 1 bound moved off its lambda2:
+        # within EIG_TOL it meets the bound as a family member, 2 EIG_TOL above
+        # it is a counterexample, 2 EIG_TOL below it clears the bound
+        g = build_extremal(3, 1)
+        bound = spectrum(g).lambda2 + offset * EIG_TOL
+        monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter([g]))
+        monkeypatch.setattr("eigencut.verify.lambda2_value", lambda d, c: bound)
+        report, (rec,) = verify_theorem(3, 10)
+        assert rec.threshold_cmp == "equal" and rec.iso_extremal and rec.branch_extremal
+        assert report.counterexamples == (() if offset < 1 else (to_graph6(g),))
+
+    @pytest.mark.parametrize("offset, cmp", [(-2, "above"), (-0.5, "equal"), (0.5, "equal"), (2, "below")])
+    def test_threshold_window_edge(self, monkeypatch, offset, cmp):
+        g = build_extremal(3, 1)
+        thr = dataclasses.replace(threshold(3), value=spectrum(g).lambda2 + offset * EIG_TOL)
+        monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter([g]))
+        monkeypatch.setattr("eigencut.verify.threshold", lambda d: thr)
+        report, (rec,) = verify_theorem(3, 10)
+        assert rec.threshold_cmp == cmp and rec.iso_extremal == (cmp == "equal")
+        assert report.equality_cases == ((to_graph6(g),) if cmp == "equal" else ())
+        assert report.counterexamples == ((to_graph6(g),) if cmp == "below" else ())
 
     def test_random_mode_deterministic(self):
         r1, recs1 = verify_theorem(5, 16, mode="random", samples=30, seed=42)
@@ -361,3 +426,9 @@ def test_error_paths(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert info.value.args == (message,)
+
+
+@pytest.mark.parametrize("offset, side", [(-2, -1), (-0.5, 0), (0, 0), (0.5, 0), (2, 1)])
+def test_side_window(offset, side):
+    bound = threshold(3).value
+    assert _side(bound + offset * EIG_TOL, bound) == side
