@@ -75,6 +75,8 @@ def _bits(mask: int):
 def _mask(vertices) -> int:
     m = 0
     for v in vertices:
+        if v < 0:
+            raise ValueError("vertex set references a negative vertex")
         m |= 1 << v
     return m
 
@@ -296,26 +298,18 @@ def edges_between(g: Graph, s, t) -> int:
 # isomorphism
 
 
-def _refine_colors(g: Graph) -> list[int]:
-    """Stable colouring: degree + common-neighbour profile, then iterate
-    neighbour-colour multisets to a fixed point."""
-    colors = [
-        (
-            g.degree(v),
-            tuple(sorted((g.rows[v] & g.rows[u]).bit_count() for u in _bits(g.rows[v]))),
-        )
-        for v in range(g.n)
-    ]
-    ids = _renumber(colors)
-    for _ in range(g.n):
-        signature = [
-            (ids[v], tuple(sorted(ids[u] for u in _bits(g.rows[v])))) for v in range(g.n)
-        ]
-        new_ids = _renumber(signature)
-        if new_ids == ids:
-            break
-        ids = new_ids
-    return ids
+def _refine_colors(rows: tuple[int, ...]):
+    """Yield the colouring after each round of colour refinement of ``rows``.
+
+    Round 0 keys each vertex by degree and common-neighbour profile, later
+    rounds by colour and neighbour-colour multiset.  Ids rank the keys of all rows.
+    """
+    profiles = [tuple(sorted((r & rows[u]).bit_count() for u in _bits(r))) for r in rows]
+    ids, new = None, _renumber([(r.bit_count(), p) for r, p in zip(rows, profiles)])
+    while new != ids:  # rounds never merge classes, so one that splits none is the fixed point
+        ids = new
+        yield ids
+        new = _renumber([(i, tuple(sorted(ids[u] for u in _bits(r)))) for i, r in zip(ids, rows)])
 
 
 def _renumber(keys: list) -> list[int]:
@@ -324,20 +318,20 @@ def _renumber(keys: list) -> list[int]:
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
-    """True iff some bijection of vertex sets preserves adjacency."""
-    if a.n != b.n:
-        return False
-    if a.edge_count() != b.edge_count():
-        return False
-    if a.degree_sequence() != b.degree_sequence():
-        return False
-    if a.n == 0:
-        return True
-    ca, cb = _refine_colors(a), _refine_colors(b)
-    if sorted(ca) != sorted(cb):
-        return False
+    """True iff some bijection of vertex sets preserves adjacency.
 
+    Both graphs are refined together, as one graph, so colours mean the same
+    in each; the first round whose halves' colour multisets differ says no.
+    Otherwise backtracking maps each vertex of ``a`` to one of its colour in ``b``.
+    """
     n = a.n
+    if b.n != n:
+        return False
+    for ids in _refine_colors(a.rows + tuple(r << n for r in b.rows)):
+        ca, cb = ids[:n], ids[n:]
+        if sorted(ca) != sorted(cb):
+            return False
+
     class_size = {c: ca.count(c) for c in set(ca)}
     # map vertices of `a` in BFS order, each component from its vertex in the
     # rarest class, so every new vertex (in a connected component) is
@@ -356,31 +350,30 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
             order.extend(_bits(fresh))
             k += 1
 
-    image = [-1] * n
-    used = [False] * n
+    of_color = dict.fromkeys(cb, 0)  # colour -> bitmask of b's vertices
+    for w, c in enumerate(cb):
+        of_color[c] |= 1 << w
+    earlier, mapped = [], 0  # earlier[k]: the neighbours of order[k] mapped before it
+    for u in order:
+        earlier.append(list(_bits(a.rows[u] & mapped)))
+        mapped |= 1 << u
+    image = [0] * n  # image[x]: the bit of x's image in b
 
-    def assign(k: int) -> bool:
+    def assign(k: int, used: int) -> bool:
         if k == n:
             return True
         u = order[k]
-        for w in range(n):
-            if used[w] or cb[w] != ca[u]:
-                continue
-            ok = True
-            for x in order[:k]:
-                if ((a.rows[u] >> x) & 1) != ((b.rows[w] >> image[x]) & 1):
-                    ok = False
-                    break
-            if ok:
-                image[u] = w
-                used[w] = True
-                if assign(k + 1):
+        need = 0  # a candidate's neighbours among `used` must be exactly these
+        for x in earlier[k]:
+            need |= image[x]
+        for w in _bits(of_color[ca[u]] & ~used):
+            if b.rows[w] & used == need:
+                image[u] = 1 << w
+                if assign(k + 1, used | 1 << w):
                     return True
-                used[w] = False
-                image[u] = -1
         return False
 
-    return assign(0)
+    return assign(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ class VertexPartition:
             if m & seen:
                 raise ValueError("partition blocks must be disjoint")
             seen |= m
+        if seen >> g.n:
+            raise ValueError("partition blocks reference a vertex >= n")
         if seen != (1 << g.n) - 1:
             raise ValueError("partition blocks must cover every vertex")
 

@@ -44,7 +44,9 @@ EIG_TOL = 1e-8
 # Isomorphic graphs have equal spectra, so a graph at a bound is tested for
 # isomorphism only against family members whose spectrum is within this of
 # its own.  Non-isomorphic members of one family differ by far more (>= 0.55
-# at d = 21), and colour refinement cannot tell them apart.
+# at d = 21).  Colour refinement cannot tell cycle blocks (11) from (6, 5) at
+# d = 21, and is_isomorphic backtracks for about a second on that pair, so
+# this prefilter stays.
 SPECTRUM_TOL = 1e-6
 # Float64 entries per stacked eigensolve (32 KiB): up to 256 cubic graphs of
 # order 4, and one graph per stack from order 64 on.

@@ -1,6 +1,7 @@
 """Graph construction, structure queries, isomorphism, and serialization."""
 
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from eigencut import (
     CutVertexWitness,
     Graph,
     articulation_points,
+    build_extremal,
     complement,
     complete,
     cycle,
@@ -237,6 +239,33 @@ class TestIsomorphism:
         assert not is_isomorphic(prism, k33)
         relabelled = oracles.relabel_edges(prism.edges(), [3, 5, 1, 0, 2, 4])
         assert is_isomorphic(prism, graph_from_edges(6, relabelled))
+        star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        # same order and edge count, different degrees; then different edge counts
+        assert not is_isomorphic(disjoint_union([complete(3), complete(1)]), star)
+        assert not is_isomorphic(cycle(4), graph_from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_refinement_separates_family_members(self, monkeypatch):
+        # Colour refinement of both graphs together tells these family members
+        # apart in its first round (their common-neighbour profiles differ),
+        # and is_isomorphic stops there.  Refining each graph on its own
+        # matched their class sizes and left seconds of backtracking.
+        from eigencut import graphs
+
+        refine, rounds = graphs._refine_colors, []
+
+        def counted(rows):
+            for ids in refine(rows):
+                rounds.append(ids)
+                yield ids
+
+        monkeypatch.setattr(graphs, "_refine_colors", counted)
+        for d, c, x, y in [(17, 8, (9,), (3, 3, 3)), (21, 10, (8, 3), (4, 4, 3))]:
+            g, h = build_extremal(d, c, x), build_extremal(d, c, y)
+            rounds.clear()
+            start = time.perf_counter()
+            assert not is_isomorphic(g, h)
+            assert time.perf_counter() - start < 0.1, (d, x, y)
+            assert len(rounds) == 1, (d, x, y)
 
     def test_relabel_invariance(self):
         rng = random.Random(5)
@@ -375,6 +404,10 @@ class TestValidation:
                 ValueError("vertex set references a vertex >= n"),
             ),
             (
+                lambda: edges_between(cycle(4), [0], [-1]),
+                ValueError("vertex set references a negative vertex"),
+            ),
+            (
                 lambda: to_graph6(Graph(258048, (0,) * 258048)),
                 ValueError("graph too large for this graph6 encoder"),
             ),
@@ -389,6 +422,7 @@ class TestValidation:
             "empty-no-cut-vertex",
             "empty-isomorphic",
             "edges-between-range",
+            "edges-between-negative",
             "graph6-too-large",
             "negative-row",
         ],

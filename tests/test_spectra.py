@@ -379,10 +379,24 @@ class TestLargestRoot:
     "call, message",
     [
         (lambda: VertexPartition(((0,), ())), "partition blocks must be nonempty"),
+        (
+            lambda: quotient(cycle(4), VertexPartition(((0, 1), (2, 3, -1)))),
+            "vertex set references a negative vertex",
+        ),
+        (
+            lambda: VertexPartition(((0, 1), (2, 5))).validate(cycle(4)),
+            "partition blocks reference a vertex >= n",
+        ),
         (lambda: tridiagonal_reduce([[1.0]], 1), "need at least a 2x2 matrix to reduce"),
         (lambda: tridiagonal_eigenvalues([[0, 1], [-1, 0]]), "off-diagonal products must be positive"),
     ],
-    ids=["empty-block", "reduce-1x1", "negative-off-diagonal-product"],
+    ids=[
+        "empty-block",
+        "negative-vertex",
+        "vertex-out-of-range",
+        "reduce-1x1",
+        "negative-off-diagonal-product",
+    ],
 )
 def test_error_paths(call, message):
     with pytest.raises(ValueError) as info:

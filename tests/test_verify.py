@@ -140,9 +140,10 @@ class TestTheoremSweep:
         assert all(rec.threshold_cmp == "equal" and rec.iso_extremal for rec in records)
 
     def test_family_members_found_quickly(self, monkeypatch):
-        # At d = 21 colour refinement cannot tell the six members apart, and
-        # is_isomorphic took seconds on some non-isomorphic pairs; their
-        # spectra differ by >= 0.55, so comparing spectra first skips them.
+        # At d = 21 colour refinement cannot tell cycle blocks (11) from
+        # (6, 5), and is_isomorphic backtracks for about a second on that
+        # pair; the members' spectra differ by >= 0.55, so comparing spectra
+        # first skips it.
         from eigencut import extremal
 
         family = extremal.extremal_family(21, threshold(21).c_star)
