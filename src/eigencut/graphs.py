@@ -181,61 +181,43 @@ def is_regular(g: Graph) -> int | None:
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
-    seen = _component_mask(g, 0, (1 << g.n) - 1)
-    return seen == (1 << g.n) - 1
-
-
-def _component_mask(g: Graph, start: int, allowed: int) -> int:
-    """Bitmask of the component of ``start`` inside the ``allowed`` vertex set."""
     rows = g.rows
-    seen = 1 << start
-    frontier = seen
+    seen = frontier = 1  # breadth-first from vertex 0
     while frontier:
         nxt = 0
         while frontier:
             low = frontier & -frontier
             nxt |= rows[low.bit_length() - 1]
             frontier ^= low
-        nxt &= allowed & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
-def _component_masks(g: Graph, allowed: int) -> list[int]:
-    """Component bitmasks of the subgraph induced on ``allowed``, lowest vertex first."""
-    comps = []
-    while allowed:
-        comp = _component_mask(g, (allowed & -allowed).bit_length() - 1, allowed)
-        comps.append(comp)
-        allowed &= ~comp
-    return comps
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 def articulation_points(g: Graph) -> list[CutVertexWitness]:
     """All cut vertices of a connected graph, with their component splits.
 
-    Uses the classic low-link depth-first search (Hopcroft and Tarjan); for
-    each cut vertex the components of ``G - u`` and the edge counts from
-    ``u`` into them are reported.  Empty result means the graph is
-    2-connected (or n <= 2).  A disconnected graph raises ``ValueError``.
+    One depth-first search finds both.  It has no cross edges, so the
+    subtree of a child ``v`` of ``u`` is a component of ``G - u`` exactly
+    when no edge leaves it except to ``u``.  The root is a cut vertex with
+    two or more such subtrees, any other vertex with one, and then the rest
+    of ``G - u`` (which holds u's parent) is one more component.  Each
+    witness lists the components lowest vertex first, with the edge counts
+    from ``u`` into them.  Empty result means the graph is 2-connected (or
+    n <= 2).  A disconnected graph raises ``ValueError``.
     """
     n = g.n
     if n == 0:
         return []
 
     rows = g.rows
-    index = [0] * n
-    low = [0] * n
-    cut = 0
-    root_children = 0
+    entered = [0] * n  # entered[w]: the visited mask just before w is reached
+    reach = list(rows)  # reach[v]: the OR of the rows over v's finished subtree
+    split = {}  # u -> the subtrees of u's children that are components of G - u
     visited = 1
-    counter = 1
-    # iterative DFS from vertex 0, lowest unvisited neighbour first.  When w
-    # is reached from v, its visited neighbours other than v are ancestors,
-    # so its back edges are read then; neighbours visited later are its
-    # descendants and cannot lower low[w].  A frame is just its vertex: the
-    # neighbours left to visit are its row minus the visited mask.
+    # iterative DFS from vertex 0, lowest unvisited neighbour first.  A frame
+    # is just its vertex: the neighbours left to visit are its row minus the
+    # visited mask, and a finished subtree is what was visited since it began.
     stack = [0]
     while stack:
         v = stack[-1]
@@ -243,36 +225,28 @@ def articulation_points(g: Graph) -> list[CutVertexWitness]:
         if fresh:
             bit = fresh & -fresh
             w = bit.bit_length() - 1
+            entered[w] = visited
             visited |= bit
-            index[w] = lw = counter
-            counter += 1
-            back = rows[w] & visited & ~(1 << v)
-            while back:
-                b = back & -back
-                i = index[b.bit_length() - 1]
-                if i < lw:
-                    lw = i
-                back ^= b
-            low[w] = lw
-            if v == 0:
-                root_children += 1
             stack.append(w)
         else:
             stack.pop()
             if stack:
-                pv = stack[-1]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-                if pv and low[v] >= index[pv]:
-                    cut |= 1 << pv
-    if counter != n:
+                u = stack[-1]
+                reach[u] |= reach[v]
+                sub = visited & ~entered[v]
+                if not reach[v] & ~sub & ~(1 << u):
+                    split.setdefault(u, []).append(sub)
+    everyone = (1 << n) - 1
+    if visited != everyone:
         raise ValueError("articulation points are defined for connected graphs")
-    if root_children >= 2:
-        cut |= 1
 
     witnesses = []
-    for u in _bits(cut):
-        comps = _component_masks(g, ((1 << n) - 1) & ~(1 << u))
+    for u, comps in sorted(split.items()):
+        if u:
+            comps.append(everyone & ~(1 << u) & ~sum(comps))  # subtrees are disjoint
+        elif len(comps) < 2:
+            continue
+        comps.sort(key=lambda comp: comp & -comp)
         parts = tuple(frozenset(_bits(comp)) for comp in comps)
         degs = tuple((rows[u] & comp).bit_count() for comp in comps)
         witnesses.append(CutVertexWitness(u, parts, degs))

@@ -17,6 +17,7 @@ from eigencut import (
     cycles_union_complement,
     disjoint_union,
     edges_between,
+    enumerate_connected_regular,
     from_graph6,
     graph_from_edges,
     is_connected,
@@ -41,15 +42,34 @@ def random_graph(rng, n, p=0.4):
 def assert_cut_vertices_match_brute_force(g):
     """Compare ``articulation_points(g)`` with deletion; return the cut-vertex count."""
     brute = oracles.brute_cut_vertices(g.n, g.edges())
-    wits = {w.u: w for w in articulation_points(g)}
+    found = articulation_points(g)
+    wits = {w.u: w for w in found}
     assert set(wits) == set(brute)
+    assert [w.u for w in found] == sorted(brute)
     for u, comps in brute.items():
         got = sorted(tuple(sorted(c)) for c in wits[u].components)
         assert got == comps
         degs = [sum(1 for v in comp if g.rows[u] >> v & 1) for comp in got]
         assert sorted(degs) == sorted(wits[u].branch_degrees)
         assert sum(wits[u].branch_degrees) == g.degree(u)
+        # the split's form: components lowest vertex first, and
+        # branch_degrees[i] counts u's edges into components[i]
+        lowest = [min(c) for c in wits[u].components]
+        assert lowest == sorted(lowest)
+        aligned = [sum(1 for v in c if g.rows[u] >> v & 1) for c in wits[u].components]
+        assert list(wits[u].branch_degrees) == aligned
     return len(wits)
+
+
+def k4e_chain(blocks):
+    """K4 - e blocks in a row, each block's degree-2 end joined to the next by a bridge."""
+    edges = []
+    for b in range(blocks):
+        o = 4 * b
+        edges += [(o, o + 1), (o, o + 2), (o + 1, o + 2), (o + 1, o + 3), (o + 2, o + 3)]
+        if b:
+            edges.append((o - 1, o))
+    return graph_from_edges(4 * blocks, edges)
 
 
 class TestBuildingBlocks:
@@ -160,6 +180,8 @@ class TestStructure:
         assert not is_connected(matching_complement(2))
         assert is_connected(sequential_join([complete(1), complete(1)]))
         assert is_connected(Graph(0, ())) and is_connected(Graph(1, (0,)))
+        assert not is_connected(disjoint_union([path(3), complete(1)]))
+        assert not is_connected(disjoint_union([complete(1), path(3)]))
 
     def test_articulation_path(self):
         wits = articulation_points(path(3))
@@ -215,6 +237,58 @@ class TestStructure:
             g = graph_from_edges(n, edges)
             assert is_connected(g)
             cut_vertices += assert_cut_vertices_match_brute_force(g)
+        assert cut_vertices > 300
+
+    def test_articulation_matches_brute_force_streams(self):
+        # every cut-vertex graph of the cubic n <= 14 and quartic n <= 12 streams
+        cut_graphs = 0
+        for d, orders in [(3, range(4, 15, 2)), (4, range(5, 13))]:
+            for n in orders:
+                for g in enumerate_connected_regular(n, d):
+                    if articulation_points(g):
+                        cut_graphs += 1
+                        assert assert_cut_vertices_match_brute_force(g) > 0
+        assert cut_graphs == 34 + 3
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_articulation_matches_brute_force_extremal(self, d):
+        assert assert_cut_vertices_match_brute_force(build_extremal(d, 1)) >= 1
+
+    def test_articulation_chain_of_blocks(self):
+        # 12 blocks: the 22 bridge ends are cut vertices, the two outer ends are not
+        g = k4e_chain(12)
+        assert assert_cut_vertices_match_brute_force(g) == 22
+        w = {w.u: w for w in articulation_points(g)}[19]
+        assert w.components == (frozenset(range(19)), frozenset(range(20, 48)))
+        assert w.branch_degrees == (2, 1)
+
+    def test_articulation_root_with_three_components(self):
+        edges = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)]
+        triangles = graph_from_edges(7, edges)
+        assert assert_cut_vertices_match_brute_force(triangles) == 1
+        (w,) = articulation_points(triangles)
+        assert w.u == 0 and w.branch_degrees == (2, 2, 2)
+        assert w.components == (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}))
+
+    def test_articulation_path_root_not_cut(self):
+        # vertex 0 starts the search but is a leaf; its child 1 is the first cut vertex
+        assert assert_cut_vertices_match_brute_force(path(4)) == 2
+        assert articulation_points(path(4))[0] == CutVertexWitness(
+            1, (frozenset({0}), frozenset({2, 3})), (1, 1)
+        )
+
+    def test_articulation_rooted_trees_with_chords(self):
+        # vertex v hangs from a random earlier vertex: unlike the shuffled
+        # trees above, the search starts at the tree's root, which is a cut
+        # vertex in 36 of these 40 graphs (with three or more components in 23)
+        rng = random.Random(28)
+        cut_vertices = 0
+        for _ in range(40):
+            n = rng.randint(2, 60)
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            for _ in range(rng.randint(0, 4)):
+                edges.add(tuple(rng.sample(range(n), 2)))
+            cut_vertices += assert_cut_vertices_match_brute_force(graph_from_edges(n, edges))
         assert cut_vertices > 300
 
     def test_edges_between(self):
