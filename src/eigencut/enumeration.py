@@ -72,10 +72,10 @@ earlier position, and a vertex whose column reads larger proves the
 identity is not canonical.  The search branches only on tied vertices.
 
 This enumerates all 621 connected cubic graphs on up to 14 vertices in
-about 0.31 s, all 1894 connected quartic graphs on up to 12 vertices in
-about 0.68 s and the 4060 cubic graphs on 16 vertices in about 1.5 s (CPU
-time on a 2-core Xeon shared with other jobs, Python 3.11, medians of 10,
-5 and 5 runs).
+about 0.16 s, all 1894 connected quartic graphs on up to 12 vertices in
+about 0.5 s and the 4060 cubic graphs on 16 vertices in about 1.0 s (CPU
+time on a 2-core Xeon shared with other jobs, Python 3.11, medians of 56,
+15 and 15 runs).
 
 The random sampler is exactly uniform over labelled connected d-regular
 graphs.  An attempt gives each of the n*d degree stubs a random 64-bit key,
@@ -89,15 +89,14 @@ attempts one graph takes, exp((d*d-1)/4), and each next one doubles, up to
 keys for 4096 stubs (45 cubic attempts at n = 30): one graph costs about
 one batch, and a run of many graphs of one order shares the numpy calls
 among many attempts without holding large arrays.  The 5000 graphs of
-the seed-7 cubic sweep (n <= 30) are sampled in about 0.15 s (in process,
-min of 5, 2-core Xeon, Python 3.11).
+the seed-7 cubic sweep (n <= 30) are sampled in about 0.2 s (in process,
+min of 7, 2-core Xeon shared with other jobs, Python 3.11).
 """
 
 from __future__ import annotations
 
 import math
 import random
-import struct
 from itertools import combinations
 from typing import Iterator
 
@@ -108,11 +107,6 @@ REJECTION_BUDGET = 100_000
 TAIL = 4  # vertices tested only once the graph is complete (module docstring)
 
 _BATCH_STUBS = 1 << 12  # the sampler's most keys at once, unless one attempt needs more (module docstring)
-
-# One tie prefix: the number of its parent prefix (-1 for the empty one),
-# its last vertex and its length, both below the graph's order, which the
-# recursion limit keeps far below 2**15.
-_NODE = struct.Struct("<ihh")
 
 
 def _searcher(rows, t, perm, tree):
@@ -126,16 +120,16 @@ def _searcher(rows, t, perm, tree):
     keeps only the candidates adjacent to ``perm[i]``, and at a 0 bit any
     candidate adjacent to ``perm[i]`` reads larger and beats the identity.
     Unless ``tree`` is None, every prefix entered is appended to it as a
-    ``_NODE`` whose parent is the node number ``parent``, so the nodes come
+    node ``(parent, tuple(perm[:s]))``, where ``parent`` is the number of
+    the node of ``perm[:s-1]`` (-1 for the empty prefix), so the nodes come
     in depth-first preorder.
     """
-    pack = _NODE.pack
 
     def beats(s: int, free: int, parent: int) -> bool:
         node = -1
         if tree is not None:
-            node = len(tree) // _NODE.size
-            tree.extend(pack(parent, perm[s - 1], s))
+            node = len(tree)
+            tree.append((parent, tuple(perm[:s])))
         if s > t:
             return False
         cand = free
@@ -168,8 +162,10 @@ class _TiePrefixes:
     """The tie prefixes of one canonical partial on the enumerator's path.
 
     A tie prefix of the partial on ``{0..t-1}`` is a prefix ``perm[:s]``
-    that its max-code search enters.  ``tree`` holds them as ``_NODE``
-    records; the first ``count`` belong to this partial, and those past it
+    that its max-code search enters.  ``tree`` holds them as nodes
+    ``(parent, prefix)``, ``prefix`` being the tuple ``perm[:s]`` and
+    ``parent`` the number of the node of ``prefix[:-1]`` (-1 for the empty
+    prefix); the first ``count`` belong to this partial, and those past it
     were recorded by the test of its latest extension.
     Prefix ``k`` owns the ``field``-bit field ``k`` of the packed integers,
     whose bit ``i`` stands for position ``i``:
@@ -188,7 +184,7 @@ class _TiePrefixes:
     vertex is ``t`` or later.  An instance is never changed: ``push``
     builds the prefixes of an accepted extension as a new one, so each
     level of the enumerator's depth-first path keeps its own.  All levels
-    share one ``tree``, whose records past a level's ``count`` are
+    share one ``tree``, whose nodes past a level's ``count`` are
     discarded when that level tests its next extension.
     ``digits[i]`` is a field with bit ``i`` set, written as a binary string.
     """
@@ -205,7 +201,7 @@ class _TiePrefixes:
         ``keep`` is the bitmask of vertices that later vertices may join.
         """
         f, base, tree, digits = self.field, self.count, self.tree, self.digits
-        count = len(tree) // _NODE.size
+        count = len(tree)
         m = count - base
         zero = "0" * f
         # The new fields are written out as binary strings and parsed once;
@@ -220,27 +216,23 @@ class _TiePrefixes:
         # end, which a reverse pass meets first among the children; pend[s]
         # holds that end for the pending nodes of length s.
         pend = [0] * (t + 3)
-        unpack, step = _NODE.unpack_from, _NODE.size
         for r in range(m - 1, -1, -1):
-            a, v, s = unpack(tree, (base + r) * step)
+            a, prefix = tree[base + r]
+            s = len(prefix)
             newident.append(identparts[s])
             newfull.append(fullparts[s])
             end = pend[s + 1] or r + 1
             pend[s + 1] = 0
-            where = runs[v]
-            if s and where is not None:
+            if s and (where := runs[prefix[-1]]) is not None:
                 where.append((r, end, digits[s - 1]))
             if a >= base:
                 if not pend[s]:
                     pend[s] = end
             elif a >= 0:
                 # a tie at an old prefix, whose vertices keep their positions
-                a, v, s = unpack(tree, a * step)
-                while s:
-                    where = runs[v]
-                    if where is not None:
-                        where.append((r, end, digits[s - 1]))
-                    a, v, s = unpack(tree, a * step)
+                for i, v in enumerate(tree[a][1]):
+                    if (where := runs[v]) is not None:
+                        where.append((r, end, digits[i]))
         cols = self.cols[:]
         shift = base * f
         for v, found in enumerate(runs):
@@ -265,7 +257,7 @@ def _tie_prefixes(rows, t: int, keep: int) -> _TiePrefixes | None:
     partial; ``keep`` is as for ``_TiePrefixes.push``.
     """
     n = len(rows)
-    tree = bytearray()
+    tree = []
     if _searcher(rows, t - 1, [0] * t, tree)(0, (1 << t) - 1, -1):
         return None
     digits = [format(1 << i, f"0{n + 1}b") for i in range(n)]
@@ -316,8 +308,8 @@ def _extension_beats(ties: _TiePrefixes, rows, tied) -> bool:
     27,813 over the cubic graphs on up to 14 vertices).
     """
     t, tree = ties.t, ties.tree
-    # the records past count are those of an earlier test here or of deeper levels
-    del tree[ties.count * _NODE.size :]
+    # the nodes past count are those of an earlier test here or of deeper levels
+    del tree[ties.count :]
     last = t + len(tied) - 1
     f = ties.field
     record = last + 1 < len(rows)
@@ -333,14 +325,14 @@ def _extension_beats(ties: _TiePrefixes, rows, tied) -> bool:
         i = bits.find("1", 2)
         while i >= 0:
             node = (top - i) // f
-            parent, v, s = _NODE.unpack_from(tree, node * _NODE.size)
+            prefix = tree[node][1]
+            s = len(prefix)
+            perm[:s] = prefix
             perm[s] = u
             if s < t or t < last:
                 free = every ^ (1 << u)
-                for j in range(s - 1, -1, -1):
-                    perm[j] = v
+                for v in prefix:
                     free ^= 1 << v
-                    parent, v, _ = _NODE.unpack_from(tree, parent * _NODE.size)
                 if beats(s + 1, free, node):
                     return True
             elif record:  # below a prefix of all of {0..t-1} lies just one leaf
@@ -477,10 +469,9 @@ def random_connected_regular_graphs(n: int, d: int, getrandbits) -> Iterator[Gra
     import numpy as np
 
     stubs = n * d
-    # stub s belongs to vertex s // d; unsigned like the keys, so that codes
-    # and keys are sorted by one numpy kernel, which keeps peak memory down
+    # stub s belongs to vertex s // d; unsigned like the keys, so that numpy
+    # loads no kernels for a second dtype, which keeps peak memory down
     vertex = np.arange(stubs, dtype=np.uint64) // d
-    partner = np.arange(stubs) ^ 1  # sorted positions 2i and 2i+1 are paired
     most = max(1, _BATCH_STUBS // max(stubs, 1))
     # the first batch is about the attempts one graph takes
     rate = (d * d - 1) / 4  # a pairing is simple with probability about exp(-rate)
@@ -490,14 +481,20 @@ def random_connected_regular_graphs(n: int, d: int, getrandbits) -> Iterator[Gra
         # Each array is dropped once read, which keeps peak memory down.
         bits = getrandbits(64 * batch * stubs).to_bytes(8 * batch * stubs, "little")
         keys = np.frombuffer(bits, "<u8").reshape(batch, stubs)
-        ends = vertex[keys.argsort(axis=1)]
-        repeated = _repeats(np.sort(keys, axis=1))
-        del bits, keys
-        # every edge once from each end, so a loop or a repeated edge repeats a code
-        codes = ends * n
-        codes += ends[:, partner]
+        order = keys.argsort(axis=1)
+        ends = vertex[order]
+        # the sorted keys, gathered through flat indices: no dearer than a
+        # second sort, and about half the cost of take_along_axis
+        order += (np.arange(batch) * stubs)[:, None]
+        repeated = _repeats(keys.ravel()[order])
+        del bits, keys, order
+        lo, hi = ends[:, 0::2], ends[:, 1::2]  # sorted positions 2i and 2i+1 are paired
+        # every edge coded once, as min * n + max, so a repeated edge repeats a code
+        codes = np.minimum(lo, hi)
+        codes *= n
+        codes += np.maximum(lo, hi)
         codes.sort(axis=1)
-        simple = ~(repeated | _repeats(codes))
+        simple = ~(repeated | (lo == hi).any(axis=1) | _repeats(codes))
         del codes
         for i, ok in enumerate(simple.tolist()):
             if ok:

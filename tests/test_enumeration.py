@@ -22,7 +22,6 @@ from eigencut import (
 )
 from eigencut import enumeration
 from eigencut.enumeration import (
-    _NODE,
     _beats_identity,
     _column_ties,
     _extension_beats,
@@ -70,10 +69,18 @@ def _extension_test(ties, rows, last):
 
 
 def _prefixes(tree):
-    """The prefix of every node of a tie-prefix tree, in record order."""
+    """The prefix of every node of a tie-prefix tree, in record order.
+
+    Each node's prefix is its parent's plus one vertex, and only the root,
+    the first node, has the empty prefix and no parent.
+    """
     found = []
-    for parent, v, s in _NODE.iter_unpack(tree):
-        found.append(found[parent] + (v,) if s else ())
+    for parent, prefix in tree:
+        if parent < 0:
+            assert not found and prefix == ()
+        else:
+            assert prefix and prefix[:-1] == found[parent]
+        found.append(prefix)
     return found
 
 
@@ -280,7 +287,7 @@ class TestEnumerate:
         seen = {}  # id -> (ties, snapshot, prefixes); holding ties keeps its id unique
 
         def check_ties(ties, rows, new):
-            tree = bytes(ties.tree[: ties.count * _NODE.size])
+            tree = tuple(ties.tree[: ties.count])
             state = (ties.t, ties.count, tuple(ties.cols), ties.ident, ties.full, ties.ones, tree)
             first = seen.setdefault(id(ties), (ties, state, _prefixes(tree)))
             assert first[1] == state
