@@ -73,9 +73,9 @@ identity is not canonical.  The search branches only on tied vertices.
 
 This enumerates all 621 connected cubic graphs on up to 14 vertices in
 about 0.16 s, all 1894 connected quartic graphs on up to 12 vertices in
-about 0.5 s and the 4060 cubic graphs on 16 vertices in about 1.0 s (CPU
-time on a 2-core Xeon shared with other jobs, Python 3.11, medians of 56,
-15 and 15 runs).
+about 0.4 s and the 4060 cubic graphs on 16 vertices in about 1.0 s (CPU
+time on a 2-core Xeon shared with other jobs, Python 3.11, medians of 30
+runs each).
 
 The random sampler is exactly uniform over labelled connected d-regular
 graphs.  An attempt gives each of the n*d degree stubs a random 64-bit key,
@@ -112,24 +112,20 @@ _BATCH_STUBS = 1 << 12  # the sampler's most keys at once, unless one attempt ne
 def _searcher(rows, t, perm, tree):
     """The max-code search of the partial graph on ``{0..t}`` below a prefix.
 
-    ``perm[i]`` is the vertex placed at position ``i``.  ``beats(s, free,
-    parent)`` searches below the prefix ``perm[:s]``, whose unplaced vertices
-    are the bitmask ``free``, and returns True if a relabelling extending it
-    has a larger code.  The vertices that could go at position ``s`` are
+    ``perm[i]`` is the vertex placed at position ``i``.  ``beats(s, free)``
+    searches below the prefix ``perm[:s]``, whose unplaced vertices are the
+    bitmask ``free``, and returns True if a relabelling extending it has a
+    larger code.  The vertices that could go at position ``s`` are
     those whose column ties the identity column ``s``: along it, a 1 bit
     keeps only the candidates adjacent to ``perm[i]``, and at a 0 bit any
     candidate adjacent to ``perm[i]`` reads larger and beats the identity.
-    Unless ``tree`` is None, every prefix entered is appended to it as a
-    node ``(parent, tuple(perm[:s]))``, where ``parent`` is the number of
-    the node of ``perm[:s-1]`` (-1 for the empty prefix), so the nodes come
-    in depth-first preorder.
+    Unless ``tree`` is None, every prefix entered is appended to it as the
+    tuple ``perm[:s]``, so the prefixes come in depth-first preorder.
     """
 
-    def beats(s: int, free: int, parent: int) -> bool:
-        node = -1
+    def beats(s: int, free: int) -> bool:
         if tree is not None:
-            node = len(tree)
-            tree.append((parent, tuple(perm[:s])))
+            tree.append(tuple(perm[:s]))
         if s > t:
             return False
         cand = free
@@ -145,7 +141,7 @@ def _searcher(rows, t, perm, tree):
         while cand:
             low = cand & -cand
             perm[s] = low.bit_length() - 1
-            if beats(s + 1, free ^ low, node):
+            if beats(s + 1, free ^ low):
                 return True
             cand ^= low
         return False
@@ -155,18 +151,17 @@ def _searcher(rows, t, perm, tree):
 
 def _beats_identity(rows, t) -> bool:
     """True if some relabelling of the partial graph on ``{0..t}`` has a larger code."""
-    return _searcher(rows, t, [0] * (t + 1), None)(0, (1 << (t + 1)) - 1, -1)
+    return _searcher(rows, t, [0] * (t + 1), None)(0, (1 << (t + 1)) - 1)
 
 
 class _TiePrefixes:
     """The tie prefixes of one canonical partial on the enumerator's path.
 
     A tie prefix of the partial on ``{0..t-1}`` is a prefix ``perm[:s]``
-    that its max-code search enters.  ``tree`` holds them as nodes
-    ``(parent, prefix)``, ``prefix`` being the tuple ``perm[:s]`` and
-    ``parent`` the number of the node of ``prefix[:-1]`` (-1 for the empty
-    prefix); the first ``count`` belong to this partial, and those past it
-    were recorded by the test of its latest extension.
+    that its max-code search enters.  ``tree`` holds them as the tuples
+    ``perm[:s]``, in depth-first preorder; the first ``count`` belong to
+    this partial, and those past it were recorded by the test of its latest
+    extension.
     Prefix ``k`` owns the ``field``-bit field ``k`` of the packed integers,
     whose bit ``i`` stands for position ``i``:
 
@@ -204,43 +199,32 @@ class _TiePrefixes:
         count = len(tree)
         m = count - base
         zero = "0" * f
-        # The new fields are written out as binary strings and parsed once;
-        # ORing them into the integers one by one would take a pass over an
-        # integer per prefix, quadratic in the prefixes recorded.
+        # The new fields are written out as binary strings, highest first, and
+        # parsed once; ORing them into the integers one by one would take a
+        # pass over an integer per prefix, quadratic in the prefixes recorded.
+        # Each prefix holds all its positions, so one walk over the new
+        # prefixes finds every field where a kept vertex sits.
         identparts = [format(rows[s] & ((1 << s) - 1), f"0{f}b") for s in range(t + 1)] + [zero]
         fullparts = [zero] * (t + 1) + [digits[0]]
         newident, newfull = [], []
-        # runs[v]: where v sits, as (first field, end, field), highest first
-        runs = [[] if keep >> v & 1 else None for v in range(t + 1)]
-        # A node's subtree is the run from it to its last child's subtree's
-        # end, which a reverse pass meets first among the children; pend[s]
-        # holds that end for the pending nodes of length s.
-        pend = [0] * (t + 3)
+        # places[v]: (r, digits[i]) for each new prefix r with v at position i, highest r first
+        places = [[] if keep >> v & 1 else None for v in range(t + 1)]
         for r in range(m - 1, -1, -1):
-            a, prefix = tree[base + r]
+            prefix = tree[base + r]
             s = len(prefix)
             newident.append(identparts[s])
             newfull.append(fullparts[s])
-            end = pend[s + 1] or r + 1
-            pend[s + 1] = 0
-            if s and (where := runs[prefix[-1]]) is not None:
-                where.append((r, end, digits[s - 1]))
-            if a >= base:
-                if not pend[s]:
-                    pend[s] = end
-            elif a >= 0:
-                # a tie at an old prefix, whose vertices keep their positions
-                for i, v in enumerate(tree[a][1]):
-                    if (where := runs[v]) is not None:
-                        where.append((r, end, digits[i]))
+            for i, v in enumerate(prefix):
+                if (where := places[v]) is not None:
+                    where.append((r, digits[i]))
         cols = self.cols[:]
         shift = base * f
-        for v, found in enumerate(runs):
+        for v, found in enumerate(places):
             if found:
                 pieces, hi = [], m
-                for first, end, field in found:
-                    pieces += (zero * (hi - end), field * (end - first))
-                    hi = first
+                for r, field in found:
+                    pieces += (zero * (hi - r - 1), field)
+                    hi = r
                 pieces.append(zero * hi)
                 cols[v] |= int("".join(pieces), 2) << shift
         col = rows[t] & ((1 << t) - 1)
@@ -258,7 +242,7 @@ def _tie_prefixes(rows, t: int, keep: int) -> _TiePrefixes | None:
     """
     n = len(rows)
     tree = []
-    if _searcher(rows, t - 1, [0] * t, tree)(0, (1 << t) - 1, -1):
+    if _searcher(rows, t - 1, [0] * t, tree)(0, (1 << t) - 1):
         return None
     digits = [format(1 << i, f"0{n + 1}b") for i in range(n)]
     return _TiePrefixes(n + 1, digits, 0, tree, 0, [0] * n, 0, 0, 0).push(rows, t - 1, keep)
@@ -324,8 +308,7 @@ def _extension_beats(ties: _TiePrefixes, rows, tied) -> bool:
         top = len(bits) - 1
         i = bits.find("1", 2)
         while i >= 0:
-            node = (top - i) // f
-            prefix = tree[node][1]
+            prefix = tree[(top - i) // f]
             s = len(prefix)
             perm[:s] = prefix
             perm[s] = u
@@ -333,10 +316,10 @@ def _extension_beats(ties: _TiePrefixes, rows, tied) -> bool:
                 free = every ^ (1 << u)
                 for v in prefix:
                     free ^= 1 << v
-                if beats(s + 1, free, node):
+                if beats(s + 1, free):
                     return True
             elif record:  # below a prefix of all of {0..t-1} lies just one leaf
-                beats(t + 1, 0, node)
+                beats(t + 1, 0)
             i = bits.find("1", i + 1)
     return False
 

@@ -71,16 +71,15 @@ def _extension_test(ties, rows, last):
 def _prefixes(tree):
     """The prefix of every node of a tie-prefix tree, in record order.
 
-    Each node's prefix is its parent's plus one vertex, and only the root,
-    the first node, has the empty prefix and no parent.
+    Only the root, the first node, has the empty prefix, no prefix repeats,
+    and every other node's prefix is an earlier node's plus one vertex.
     """
-    found = []
-    for parent, prefix in tree:
-        if parent < 0:
-            assert not found and prefix == ()
-        else:
-            assert prefix and prefix[:-1] == found[parent]
-        found.append(prefix)
+    found = list(tree)
+    assert found[0] == () and len(set(found)) == len(found)
+    earlier = {()}
+    for prefix in found[1:]:
+        assert prefix[:-1] in earlier
+        earlier.add(prefix)
     return found
 
 
