@@ -36,8 +36,6 @@ from .graphs import (
     complete,
     cycle,
     cycles_union_complement,
-    disjoint_union,
-    edges_between,
     from_graph6,
     graph_from_edges,
     is_connected,

@@ -149,11 +149,6 @@ def _searcher(rows, t, perm, tree):
     return beats
 
 
-def _beats_identity(rows, t) -> bool:
-    """True if some relabelling of the partial graph on ``{0..t}`` has a larger code."""
-    return _searcher(rows, t, [0] * (t + 1), None)(0, (1 << (t + 1)) - 1)
-
-
 class _TiePrefixes:
     """The tie prefixes of one canonical partial on the enumerator's path.
 
@@ -276,7 +271,9 @@ def _column_ties(ties: _TiePrefixes, rows, u: int) -> int | None:
 
 
 def _extension_beats(ties: _TiePrefixes, rows, tied) -> bool:
-    """``_beats_identity(rows, last)`` when ``ties`` are the tie prefixes of the canonical ``{0..ties.t-1}``.
+    """True if some relabelling of the partial graph on ``{0..last}`` has a larger code.
+
+    ``ties`` are the tie prefixes of the canonical ``{0..ties.t-1}``.
 
     ``tied`` holds ``_column_ties(ties, rows, u)``, none of them None, for
     the new vertices ``u = t..last``, where ``t = ties.t``.  Adding them

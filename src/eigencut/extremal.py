@@ -16,7 +16,7 @@ cycle block's order into cycles (2 at ``d = 13``), and all of them attain it;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -203,7 +203,11 @@ class ThresholdResult:
     c_star: int
     value: float
     poly: Polynomial
-    extremal_graph: Graph
+
+    @cached_property
+    def extremal_graph(self) -> Graph:
+        """The default-composition graph attaining the threshold, built on first read."""
+        return build_extremal(self.d, self.c_star)
 
 
 def _branch_range(d: int) -> range:
@@ -222,14 +226,14 @@ def optimal_branch(d: int) -> int:
 
 
 def threshold(d: int) -> ThresholdResult:
-    """Largest lambda2 still forcing 2-connectedness, with the default-composition graph attaining it.
+    """Largest lambda2 still forcing 2-connectedness, with its polynomial.
 
-    For odd ``d >= 13`` the other members of that graph's family attain it
-    too (:func:`extremal_family`).
+    ``extremal_graph`` is the default-composition graph attaining it; for odd
+    ``d >= 13`` the other members of that graph's family attain it too
+    (:func:`extremal_family`).
     """
     c_star = optimal_branch(d)
-    poly = lambda2_polynomial(d, c_star)
-    return ThresholdResult(d, c_star, lambda2_value(d, c_star), poly, build_extremal(d, c_star))
+    return ThresholdResult(d, c_star, lambda2_value(d, c_star), lambda2_polynomial(d, c_star))
 
 
 def monotonicity_chain(d: int) -> list[tuple[int, float]]:
@@ -360,13 +364,15 @@ def cut_parameter_sweep(d: int, c: int) -> SweepReport:
     The top eigenvalue of the deflated cut-partition quotient must strictly
     decrease as either cross-edge count (r, t) grows, and the saturated
     reduction's top eigenvalue must strictly increase with either outer block
-    order (p, q).  For odd d the branch degree is normalized to its odd form
-    first (the even form is the mirror image).  Each grid point is solved
-    once; violations list the r- and t-runs of each (p, q), then the p-runs,
-    then the q-runs.
+    order (p, q).  Even d needs even c, as in :class:`ExtremalSpec`.  For odd
+    d the branch degree is normalized to its odd form first (the even form is
+    the mirror image).  Each grid point is solved once; violations list the
+    r- and t-runs of each (p, q), then the p-runs, then the q-runs.
     """
     if d < 3 or not 1 <= c <= d - 1:
         raise ValueError("invalid (d, c)")
+    if d % 2 == 0 and c % 2:
+        raise ValueError("c must be even for even d")
     if d % 2 and c % 2 == 0 and c not in (1, d - 1):
         c = d - c
     p_lo = d + 2 - c if d % 2 else d + 1 - c

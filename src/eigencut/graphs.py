@@ -47,9 +47,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.rows[u]) if u < v]
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(r.bit_count() for r in self.rows))
-
 
 @dataclass(frozen=True)
 class CutVertexWitness:
@@ -120,15 +117,6 @@ def matching_complement(n: int) -> Graph:
         raise ValueError("a perfect matching needs a positive even order")
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)))
-
-
-def disjoint_union(parts) -> Graph:
-    rows = []
-    offset = 0
-    for p in parts:
-        rows.extend(r << offset for r in p.rows)
-        offset += p.n
-    return Graph(offset, tuple(rows))
 
 
 def cycles_union_complement(lengths) -> Graph:
@@ -251,21 +239,6 @@ def articulation_points(g: Graph) -> list[CutVertexWitness]:
         degs = tuple((rows[u] & comp).bit_count() for comp in comps)
         witnesses.append(CutVertexWitness(u, parts, degs))
     return witnesses
-
-
-def edges_between(g: Graph, s, t) -> int:
-    """Number of edges with one end in ``s`` and the other in ``t``.
-
-    Each undirected edge is counted once, even when both ends lie in the
-    intersection of the two sets.
-    """
-    smask, tmask = _mask(s), _mask(t)
-    if (smask | tmask) >> g.n:
-        raise ValueError("vertex set references a vertex >= n")
-    total = sum((g.rows[v] & tmask).bit_count() for v in _bits(smask))
-    both = smask & tmask
-    inner = sum((g.rows[v] & both).bit_count() for v in _bits(both)) // 2
-    return total - inner
 
 
 # ---------------------------------------------------------------------------

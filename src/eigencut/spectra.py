@@ -55,7 +55,7 @@ class VertexPartition:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Monic polynomial, coefficients in descending degree order: ints, or floats read at their exact binary value."""
+    """Monic polynomial, coefficients in descending degree order: ints, or finite floats read at their exact binary value."""
 
     coeffs: tuple[float, ...]
 
@@ -63,6 +63,8 @@ class Polynomial:
         coeffs = tuple(c if isinstance(c, int) else float(c) for c in self.coeffs)
         if not coeffs or coeffs[0] != 1:
             raise ValueError("polynomial must be monic")
+        if any(isinstance(c, float) and not math.isfinite(c) for c in coeffs):
+            raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, x: float) -> float:

@@ -20,7 +20,7 @@ def test_public_names_pinned():
         "adjacency_matrix", "articulation_points", "build_extremal", "char_poly",
         "cheeger_check", "complement", "complete", "construction_partition",
         "cut_branch_values", "cut_parameter_sweep", "cut_partition_quotient", "cycle",
-        "cycles_union_complement", "disjoint_union", "edge_expansion", "edges_between",
+        "cycles_union_complement", "edge_expansion",
         "eigenvalues_symmetric", "enumerate_connected_regular", "f0_poly", "f1_poly",
         "f2_poly", "from_graph6", "graph_from_edges", "is_connected", "is_equitable",
         "is_isomorphic", "is_regular", "lambda2_polynomial", "lambda2_value", "largest_root",
@@ -31,6 +31,8 @@ def test_public_names_pinned():
         "verify_theorem",
     }
     graph_methods = {name for name in vars(eigencut.Graph) if not name.startswith("_")}
-    assert graph_methods == {"degree", "edge_count", "edges", "degree_sequence"}
+    assert graph_methods == {"degree", "edge_count", "edges"}
     summary = [f.name for f in dataclasses.fields(eigencut.SpectralSummary)]
     assert summary == ["eigenvalues", "lambda2"]
+    threshold = [f.name for f in dataclasses.fields(eigencut.ThresholdResult)]
+    assert threshold == ["d", "c_star", "value", "poly"]

@@ -170,6 +170,25 @@ class TestThreshold:
         assert code == 0
         assert out.splitlines()[1] == "3\t1\t2.778457118\t1 0 -7 -2"
 
+    def test_rows_need_no_chain(self, capsys, monkeypatch):
+        # without --verbose each row is the threshold's own data; no chain is computed
+        def refuse(d):
+            raise AssertionError("threshold computed a lambda2 chain")
+
+        monkeypatch.setattr(extremal, "monotonicity_chain", refuse)
+        code, out, _ = run_cli(capsys, "threshold", "--d-range", "3..9")
+        assert code == 0
+        assert out == (
+            "d\tc_star\tthreshold\tpolynomial\n"
+            "3\t1\t2.778457118\t1 0 -7 -2\n"
+            "4\t2\t3.645751311\t1 0 -12 -8 12\n"
+            "5\t2\t4.664325409\t1 0 -19 -18 24\n"
+            "6\t2\t5.654479283\t1 -2 -20 -8 24\n"
+            "7\t3\t6.623475383\t1 -2 -29 -18 48\n"
+            "8\t4\t7.582575695\t1 -4 -28 0 48\n"
+            "9\t4\t8.598952643\t1 -4 -39 -14 80\n"
+        )
+
     def test_small_degree_rejected(self, capsys):
         for argv in (["--d", "2"], ["--d-range", "2..4"]):
             code, out, err = run_cli(capsys, "threshold", *argv)

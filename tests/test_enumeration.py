@@ -22,12 +22,21 @@ from eigencut import (
 )
 from eigencut import enumeration
 from eigencut.enumeration import (
-    _beats_identity,
     _column_ties,
     _extension_beats,
+    _searcher,
     _swap_beats,
     _tie_prefixes,
 )
+
+
+def _beats_identity(rows, t):
+    """True if some relabelling of the partial graph on ``{0..t}`` has a larger code.
+
+    The enumerator's search from the empty prefix, with no tie prefixes: the
+    reference its shortcuts are checked against.
+    """
+    return _searcher(rows, t, [0] * (t + 1), None)(0, (1 << (t + 1)) - 1)
 
 
 def _edges_of_code(n, code):

@@ -344,6 +344,24 @@ class TestThresholds:
             assert d - 1 < t.value < d
             assert is_regular(t.extremal_graph) == d
 
+    def test_graph_built_on_first_read(self, monkeypatch):
+        calls = []
+        build = extremal.build_extremal
+
+        def counted(d, c, composition=None):
+            calls.append((d, c))
+            return build(d, c, composition)
+
+        monkeypatch.setattr(extremal, "build_extremal", counted)
+        for d in range(3, 31):
+            t = threshold(d)
+            assert calls == []  # the threshold is a root; no graph is built for it
+            g = t.extremal_graph
+            assert calls == [(d, t.c_star)]
+            assert t.extremal_graph is g  # read twice, built once
+            assert g == build(d, t.c_star)
+            calls.clear()
+
     def test_rejects_small_degree(self):
         with pytest.raises(ValueError):
             threshold(2)
@@ -464,8 +482,20 @@ class TestExtremalFamily:
         (lambda: BranchParams(5, 5, 2, 0).validate(4, 2), "t out of range"),
         (lambda: saturated_cut_reduction(4, 0, 3, 3), "need 1 <= c <= d-1"),
         (lambda: cut_parameter_sweep(2, 1), "invalid (d, c)"),
+        # no 4- or 6-regular graph has an odd branch degree
+        (lambda: cut_parameter_sweep(4, 1), "c must be even for even d"),
+        (lambda: cut_parameter_sweep(6, 3), "c must be even for even d"),
     ],
-    ids=["polynomial-c0", "short-cycle", "branch-c0", "branch-t0", "saturated-c0", "sweep-d2"],
+    ids=[
+        "polynomial-c0",
+        "short-cycle",
+        "branch-c0",
+        "branch-t0",
+        "saturated-c0",
+        "sweep-d2",
+        "sweep-odd-c-even-d",
+        "sweep-odd-c-even-d6",
+    ],
 )
 def test_error_paths(call, message):
     with pytest.raises(ValueError) as info:

@@ -15,8 +15,6 @@ from eigencut import (
     complete,
     cycle,
     cycles_union_complement,
-    disjoint_union,
-    edges_between,
     enumerate_connected_regular,
     from_graph6,
     graph_from_edges,
@@ -27,6 +25,15 @@ from eigencut import (
     sequential_join,
     to_graph6,
 )
+
+
+def disjoint_union(parts):
+    rows = []
+    offset = 0
+    for p in parts:
+        rows.extend(r << offset for r in p.rows)
+        offset += p.n
+    return Graph(offset, tuple(rows))
 
 
 def path(n):
@@ -291,16 +298,6 @@ class TestStructure:
             cut_vertices += assert_cut_vertices_match_brute_force(graph_from_edges(n, edges))
         assert cut_vertices > 300
 
-    def test_edges_between(self):
-        k4 = complete(4)
-        assert edges_between(k4, {0, 1}, {2, 3}) == 4
-        c4 = cycle(4)
-        assert edges_between(c4, {0, 2}, {1, 3}) == 4
-        assert edges_between(matching_complement(2), {0}, {1}) == 0
-        # overlapping sets count each edge once: every K4 edge qualifies
-        assert edges_between(k4, {0, 1, 2}, {1, 2, 3}) == 6
-        assert edges_between(k4, {0, 1}, {1, 2}) == 3  # edges 01, 02, 12 once each
-
 
 class TestIsomorphism:
     def test_examples(self):
@@ -474,14 +471,6 @@ class TestValidation:
             (lambda: articulation_points(Graph(0, ())), []),
             (lambda: is_isomorphic(Graph(0, ()), Graph(0, ())), True),
             (
-                lambda: edges_between(Graph(3, (0, 0, 0)), [5], [0]),
-                ValueError("vertex set references a vertex >= n"),
-            ),
-            (
-                lambda: edges_between(cycle(4), [0], [-1]),
-                ValueError("vertex set references a negative vertex"),
-            ),
-            (
                 lambda: to_graph6(Graph(258048, (0,) * 258048)),
                 ValueError("graph too large for this graph6 encoder"),
             ),
@@ -495,8 +484,6 @@ class TestValidation:
             "empty-not-regular",
             "empty-no-cut-vertex",
             "empty-isomorphic",
-            "edges-between-range",
-            "edges-between-negative",
             "graph6-too-large",
             "negative-row",
         ],

@@ -389,6 +389,11 @@ class TestLargestRoot:
         ),
         (lambda: tridiagonal_reduce([[1.0]], 1), "need at least a 2x2 matrix to reduce"),
         (lambda: tridiagonal_eigenvalues([[0, 1], [-1, 0]]), "off-diagonal products must be positive"),
+        (
+            lambda: largest_root(Polynomial((1, float("inf"))), -1, 1),
+            "polynomial coefficients must be finite",
+        ),
+        (lambda: Polynomial((1.0, 0.0, float("nan"))), "polynomial coefficients must be finite"),
     ],
     ids=[
         "empty-block",
@@ -396,6 +401,8 @@ class TestLargestRoot:
         "vertex-out-of-range",
         "reduce-1x1",
         "negative-off-diagonal-product",
+        "polynomial-infinite",
+        "polynomial-nan",
     ],
 )
 def test_error_paths(call, message):
