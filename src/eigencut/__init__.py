@@ -8,8 +8,6 @@ randomized sweeps over small regular graphs.
 
 from .enumeration import enumerate_connected_regular, random_connected_regular
 from .extremal import (
-    BranchParams,
-    ExtremalSpec,
     SweepReport,
     ThresholdResult,
     build_extremal,

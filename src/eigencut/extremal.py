@@ -101,9 +101,8 @@ def _branch(d: int, k: int, composition) -> list[Graph]:
     return [matching_complement(d + 2 - k), cycles_union_complement(composition)]
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
-    """Parameters selecting one extremal construction.
+def _blocks(d: int, c: int, composition=None) -> list[Graph]:
+    """The blocks of one extremal construction, in labelling order.
 
     The graph is two branches joined at a cut vertex, which sends ``c``
     edges into one and ``d - c`` into the other (:func:`_branch`).  A branch
@@ -113,43 +112,27 @@ class ExtremalSpec:
     k = 1, K_2, a matching complement on d-1 and one vertex in sequence, so
     the graph has a bridge.  ``composition`` lists the cycle lengths of the
     cycle complement: it sums to the odd branch degree of at least 3, and is
-    empty when there is none (even d, or c in {1, d-1}).  Even d needs
-    even c, since a branch B has even degree sum d|B| - k.
+    empty when there is none (even d, or c in {1, d-1}); None selects the
+    single cycle.  Even d needs even c, since a branch B has even degree
+    sum d|B| - k.
     """
-
-    d: int
-    c: int
-    composition: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "composition", tuple(self.composition))
-        d, c = self.d, self.c
-        if d < 3:
-            raise ValueError("degree must be at least 3")
-        if not 1 <= c <= d - 1:
-            raise ValueError("branch degree must satisfy 1 <= c <= d-1")
-        if any(k < 3 for k in self.composition):
-            raise ValueError("cycle lengths must be at least 3")
-        if d % 2 == 0 and c % 2:
-            raise ValueError("c must be even for even d")
-        total = _cycle_branch(d, c)
-        if sum(self.composition) != total:
-            if not total:
-                raise ValueError("a construction without a cycle block takes no cycle composition")
-            raise ValueError(f"cycle composition must sum to {total}")
-
-    def blocks(self) -> list[Graph]:
-        """The two branches with the cut vertex between them, in labelling order."""
-        d, c, comp = self.d, self.c, self.composition
-        return _branch(d, c, comp) + [complete(1)] + _branch(d, d - c, comp)[::-1]
-
-
-def _resolve_spec(d: int, c: int, composition) -> ExtremalSpec:
-    """The spec for ``composition``, or the single-cycle default when it is None."""
+    if d < 3:
+        raise ValueError("degree must be at least 3")
+    if not 1 <= c <= d - 1:
+        raise ValueError("branch degree must satisfy 1 <= c <= d-1")
+    total = _cycle_branch(d, c)
     if composition is None:
-        total = _cycle_branch(d, c)
         composition = (total,) if total else ()
-    return ExtremalSpec(d, c, tuple(composition))
+    composition = tuple(composition)
+    if any(k < 3 for k in composition):
+        raise ValueError("cycle lengths must be at least 3")
+    if d % 2 == 0 and c % 2:
+        raise ValueError("c must be even for even d")
+    if sum(composition) != total:
+        if not total:
+            raise ValueError("a construction without a cycle block takes no cycle composition")
+        raise ValueError(f"cycle composition must sum to {total}")
+    return _branch(d, c, composition) + [complete(1)] + _branch(d, d - c, composition)[::-1]
 
 
 def build_extremal(d: int, c: int, composition=None) -> Graph:
@@ -161,7 +144,7 @@ def build_extremal(d: int, c: int, composition=None) -> Graph:
     it is the only one, except in the bridge graphs (c = 1 or d-1), whose
     bridge has two.  ``composition=None`` selects the single-cycle default.
     """
-    return sequential_join(_resolve_spec(d, c, composition).blocks())
+    return sequential_join(_blocks(d, c, composition))
 
 
 def _cycle_partitions(total: int, largest: int):
@@ -189,7 +172,7 @@ def construction_partition(d: int, c: int, composition=None) -> VertexPartition:
     """Block partition matching :func:`build_extremal`'s vertex labelling."""
     blocks = []
     offset = 0
-    for part in _resolve_spec(d, c, composition).blocks():
+    for part in _blocks(d, c, composition):
         blocks.append(tuple(range(offset, offset + part.n)))
         offset += part.n
     return VertexPartition(tuple(blocks))
@@ -246,6 +229,14 @@ def monotonicity_chain(d: int) -> list[tuple[int, float]]:
 # the five-set quotient around a cut vertex
 
 
+def _check_branch_degree(d: int, c: int) -> None:
+    """Raise unless some d-regular graph can have a cut vertex of branch degree c."""
+    if not 1 <= c <= d - 1:
+        raise ValueError("need 1 <= c <= d-1")
+    if d % 2 == 0 and c % 2:
+        raise ValueError("c must be even for even d")
+
+
 def _five_set_quotient(d: int, c: int, a, b, e, f) -> np.ndarray:
     """5x5 quotient of outer block, neighbour set, cut vertex, neighbour set,
     outer block; rows sum to d.
@@ -282,37 +273,22 @@ def quotient_odd_degree(d: int, c: int) -> np.ndarray:
     return _five_set_quotient(d, c, c, d + 2 - c, c + 1, d - c)
 
 
-@dataclass(frozen=True)
-class BranchParams:
-    """Block orders and cross-edge counts for a general cut-vertex partition.
+def cut_partition_quotient(d: int, c: int, p: int, q: int, r: int, t: int) -> np.ndarray:
+    """5x5 quotient of the five-set partition around an arbitrary cut vertex.
 
     ``p``/``q`` are the orders of the two outer blocks (component minus the
     cut vertex's neighbours); ``r``/``t`` count edges from the outer blocks
     into the neighbour sets.
     """
-
-    p: int
-    q: int
-    r: int
-    t: int
-
-    def validate(self, d: int, c: int) -> None:
-        if not 1 <= c <= d - 1:
-            raise ValueError("need 1 <= c <= d-1")
-        if self.p < d + 1 - c:
-            raise ValueError("p must be at least d+1-c")
-        if self.q < c + 1:
-            raise ValueError("q must be at least c+1")
-        if not 1 <= self.r <= min(c * self.p, c * (d - 1)):
-            raise ValueError("r out of range")
-        if not 1 <= self.t <= min((d - c) * self.q, (d - c) * (d - 1)):
-            raise ValueError("t out of range")
-
-
-def cut_partition_quotient(d: int, c: int, bp: BranchParams) -> np.ndarray:
-    """5x5 quotient of the five-set partition around an arbitrary cut vertex."""
-    bp.validate(d, c)
-    p, q, r, t = bp.p, bp.q, bp.r, bp.t
+    _check_branch_degree(d, c)
+    if p < d + 1 - c:
+        raise ValueError("p must be at least d+1-c")
+    if q < c + 1:
+        raise ValueError("q must be at least c+1")
+    if not 1 <= r <= min(c * p, c * (d - 1)):
+        raise ValueError("r out of range")
+    if not 1 <= t <= min((d - c) * q, (d - c) * (d - 1)):
+        raise ValueError("t out of range")
     return _five_set_quotient(d, c, r / p, r / c, t / (d - c), t / q)
 
 
@@ -322,8 +298,7 @@ def saturated_cut_reduction(d: int, c: int, p: int, q: int) -> np.ndarray:
     At p = d+1-c, q = c+1 it is the reduction of the even-degree
     construction quotient.
     """
-    if not 1 <= c <= d - 1:
-        raise ValueError("need 1 <= c <= d-1")
+    _check_branch_degree(d, c)
     return tridiagonal_reduce(_five_set_quotient(d, c, c, p, q, d - c), d)
 
 
@@ -364,7 +339,7 @@ def cut_parameter_sweep(d: int, c: int) -> SweepReport:
     The top eigenvalue of the deflated cut-partition quotient must strictly
     decrease as either cross-edge count (r, t) grows, and the saturated
     reduction's top eigenvalue must strictly increase with either outer block
-    order (p, q).  Even d needs even c, as in :class:`ExtremalSpec`.  For odd
+    order (p, q).  Even d needs even c, as in :func:`build_extremal`.  For odd
     d the branch degree is normalized to its odd form first (the even form is
     the mirror image).  Each grid point is solved once; violations list the
     r- and t-runs of each (p, q), then the p-runs, then the q-runs.
@@ -388,7 +363,7 @@ def cut_parameter_sweep(d: int, c: int) -> SweepReport:
             rs, ts = r_range(p), t_range(q)
             for r in rs:
                 for t in ts:
-                    quot = cut_partition_quotient(d, c, BranchParams(p, q, r, t))
+                    quot = cut_partition_quotient(d, c, p, q, r, t)
                     top[p, q, r, t] = _top_eigenvalue(tridiagonal_reduce(quot, d))
             runs += [("r", False, [(p, q, r, t) for r in rs]) for t in ts]
             runs += [("t", False, [(p, q, r, t) for t in ts]) for r in rs]

@@ -39,6 +39,8 @@ class VertexPartition:
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
         if any(len(b) == 0 for b in self.blocks):
             raise ValueError("partition blocks must be nonempty")
+        if any(len(set(b)) != len(b) for b in self.blocks):
+            raise ValueError("partition blocks must not repeat a vertex")
 
     def validate(self, g: Graph) -> None:
         seen = 0

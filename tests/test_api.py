@@ -14,7 +14,7 @@ def test_public_names_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == {
-        "BranchParams", "CheegerCheck", "CutVertexWitness", "ExtremalSpec", "Graph",
+        "CheegerCheck", "CutVertexWitness", "Graph",
         "Polynomial", "PriorBoundTable", "SpectralSummary", "SweepReport", "TheoremReport",
         "ThresholdResult", "VerificationError", "VerificationRecord", "VertexPartition",
         "adjacency_matrix", "articulation_points", "build_extremal", "char_poly",

@@ -10,8 +10,6 @@ import pytest
 import oracles
 from eigencut import extremal
 from eigencut import (
-    BranchParams,
-    ExtremalSpec,
     Polynomial,
     articulation_points,
     build_extremal,
@@ -197,9 +195,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_extremal(9, 7, [3, 3])  # sums to 6, needs 7
         with pytest.raises(ValueError):
-            ExtremalSpec(3, 1, (3,))  # bridge case takes no composition
+            build_extremal(3, 1, (3,))  # bridge case takes no composition
         with pytest.raises(ValueError):
-            ExtremalSpec(4, 2, (3,))
+            build_extremal(4, 2, (3,))
 
     def test_symmetry_isomorphism(self):
         for d, c in valid_pairs(9):
@@ -278,7 +276,7 @@ class TestQuotients:
                 assert char_poly(red).coeffs == f2_poly(d, c).coeffs
 
     def test_cut_partition_reduction_identities(self):
-        b3 = cut_partition_quotient(4, 2, BranchParams(3, 3, 6, 6))
+        b3 = cut_partition_quotient(4, 2, 3, 3, 6, 6)
         assert np.allclose(b3.sum(axis=1), 4)
         assert np.allclose(
             tridiagonal_reduce(b3, 4), saturated_cut_reduction(4, 2, 3, 3)
@@ -296,12 +294,12 @@ class TestQuotients:
 
     def test_branch_params_validation(self):
         with pytest.raises(ValueError):
-            BranchParams(2, 3, 6, 6).validate(4, 2)  # p too small
+            cut_partition_quotient(4, 2, 2, 3, 6, 6)  # p too small
         with pytest.raises(ValueError):
-            BranchParams(3, 2, 6, 6).validate(4, 2)  # q too small
+            cut_partition_quotient(4, 2, 3, 2, 6, 6)  # q too small
         with pytest.raises(ValueError):
-            BranchParams(3, 3, 7, 6).validate(4, 2)  # r > cp
-        BranchParams(3, 3, 6, 6).validate(4, 2)
+            cut_partition_quotient(4, 2, 3, 3, 7, 6)  # r > cp
+        cut_partition_quotient(4, 2, 3, 3, 6, 6)
 
 
 class TestThresholds:
@@ -395,7 +393,7 @@ class TestSweeps:
         from eigencut.spectra import tridiagonal_eigenvalues
 
         def top_after_reduce(d, c, p, q, r, t):
-            m = cut_partition_quotient(d, c, BranchParams(p, q, r, t))
+            m = cut_partition_quotient(d, c, p, q, r, t)
             return tridiagonal_eigenvalues(tridiagonal_reduce(m, d))[0]
 
         hi_r = top_after_reduce(6, 2, 5, 3, 10, 9)
@@ -417,9 +415,9 @@ class TestSweeps:
         calls, saturated = [], []
         solve, reduce = extremal.cut_partition_quotient, extremal.saturated_cut_reduction
 
-        def counted(d, c, bp):
-            calls.append((bp.p, bp.q, bp.r, bp.t))
-            return solve(d, c, bp)
+        def counted(d, c, p, q, r, t):
+            calls.append((p, q, r, t))
+            return solve(d, c, p, q, r, t)
 
         def counted_saturated(d, c, p, q):
             saturated.append((p, q))
@@ -477,14 +475,16 @@ class TestExtremalFamily:
     "call, message",
     [
         (lambda: lambda2_polynomial(3, 0), "need 1 <= c <= d-1"),
-        (lambda: ExtremalSpec(9, 2, (2, 5)), "cycle lengths must be at least 3"),
-        (lambda: BranchParams(5, 5, 2, 1).validate(4, 0), "need 1 <= c <= d-1"),
-        (lambda: BranchParams(5, 5, 2, 0).validate(4, 2), "t out of range"),
+        (lambda: build_extremal(9, 2, (2, 5)), "cycle lengths must be at least 3"),
+        (lambda: cut_partition_quotient(4, 0, 5, 5, 2, 1), "need 1 <= c <= d-1"),
+        (lambda: cut_partition_quotient(4, 2, 5, 5, 2, 0), "t out of range"),
         (lambda: saturated_cut_reduction(4, 0, 3, 3), "need 1 <= c <= d-1"),
         (lambda: cut_parameter_sweep(2, 1), "invalid (d, c)"),
         # no 4- or 6-regular graph has an odd branch degree
         (lambda: cut_parameter_sweep(4, 1), "c must be even for even d"),
         (lambda: cut_parameter_sweep(6, 3), "c must be even for even d"),
+        (lambda: cut_partition_quotient(4, 1, 4, 2, 3, 3), "c must be even for even d"),
+        (lambda: saturated_cut_reduction(4, 1, 4, 2), "c must be even for even d"),
     ],
     ids=[
         "polynomial-c0",
@@ -495,6 +495,8 @@ class TestExtremalFamily:
         "sweep-d2",
         "sweep-odd-c-even-d",
         "sweep-odd-c-even-d6",
+        "branch-odd-c-even-d",
+        "saturated-odd-c-even-d",
     ],
 )
 def test_error_paths(call, message):

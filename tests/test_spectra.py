@@ -380,6 +380,10 @@ class TestLargestRoot:
     [
         (lambda: VertexPartition(((0,), ())), "partition blocks must be nonempty"),
         (
+            lambda: quotient(graph_from_edges(3, [(0, 1), (1, 2)]), VertexPartition(((0, 0, 1), (2,)))),
+            "partition blocks must not repeat a vertex",
+        ),
+        (
             lambda: quotient(cycle(4), VertexPartition(((0, 1), (2, 3, -1)))),
             "vertex set references a negative vertex",
         ),
@@ -397,6 +401,7 @@ class TestLargestRoot:
     ],
     ids=[
         "empty-block",
+        "repeated-vertex",
         "negative-vertex",
         "vertex-out-of-range",
         "reduce-1x1",

@@ -127,6 +127,53 @@ class TestTheoremSweep:
         assert main(["verify", "--d", "3", "--n-max", "10"]) == 1
         assert json.loads(capsys.readouterr().out)["pass"] is False
 
+    @pytest.mark.parametrize(
+        "d, n_max, per_order, margin",
+        [
+            (
+                3,
+                14,
+                {
+                    10: (1, 2.7784571182583884, ("I}KGGGB?w",)),
+                    # two cut-vertex graphs of order 12 share lambda2 to ~1e-15
+                    12: (4, 2.81921257878428, ("K}KGGGA?_B_M", "K}KGGGA?gB?J")),
+                    14: (29, 2.841830099366202, ("M}KGGGA?_B?G?L?F?",)),
+                },
+                (0.040755460525891074, ("K}KGGGA?_B_M", "K}KGGGA?gB?J")),
+            ),
+            (
+                4,
+                12,
+                {
+                    11: (1, 3.6457513110645907, ("J~wWGGB?wF_",)),
+                    12: (2, 3.68057442907652, ("K~wWGGB?oD_N",)),
+                },
+                (0.03482311801192939, ("K~wWGGB?oD_N",)),
+            ),
+        ],
+    )
+    def test_smallest_cut_vertex_lambda2_per_order(self, d, n_max, per_order, margin):
+        # theta(d, n), the smallest lambda2 of a cut-vertex graph of order n,
+        # and the smallest margin over the threshold short of equality; each
+        # value comes with every graph within 1e-9 of it
+        def smallest(recs, key):
+            low = min(key(r) for r in recs)
+            return low, tuple(sorted(r.graph6 for r in recs if key(r) - low <= 1e-9))
+
+        _, records = verify_theorem(d, n_max)
+        cut = [r for r in records if r.witnesses]
+        measured = {}
+        for n in sorted({r.n for r in cut}):
+            recs = [r for r in cut if r.n == n]
+            measured[n] = (len(recs), *smallest(recs, lambda r: r.lambda2))
+        assert measured.keys() == per_order.keys()
+        for n, (count, lam2, graphs) in per_order.items():
+            assert measured[n][0] == count and measured[n][2] == graphs, n
+            assert measured[n][1] == pytest.approx(lam2, abs=1e-9), n
+        value = threshold(d).value
+        gap, graphs = smallest([r for r in cut if r.threshold_cmp != "equal"], lambda r: r.lambda2 - value)
+        assert gap == pytest.approx(margin[0], abs=1e-9) and graphs == margin[1]
+
     def test_every_family_member_is_extremal(self, monkeypatch):
         # at d = 13 the threshold has two extremal graphs: cycle blocks (7) and (4, 3)
         from eigencut import extremal
