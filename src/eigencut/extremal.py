@@ -65,10 +65,21 @@ def f2_poly(d: int, c: int) -> Polynomial:
     )
 
 
-def lambda2_polynomial(d: int, c: int) -> Polynomial:
-    """The polynomial whose largest root is lambda2 of the (d, c) family graph."""
+def _check_branch_degree(d: int, c: int) -> None:
+    """Raise unless some d-regular graph can have a cut vertex of branch degree c:
+    the one rule of every entry point taking any such (d, c).  Even d needs
+    even c, since a branch B has even degree sum d|B| - c."""
+    if d < 3:
+        raise ValueError("degree must be at least 3")
     if not 1 <= c <= d - 1:
         raise ValueError("need 1 <= c <= d-1")
+    if d % 2 == 0 and c % 2:
+        raise ValueError("c must be even for even d")
+
+
+def lambda2_polynomial(d: int, c: int) -> Polynomial:
+    """The polynomial whose largest root is lambda2 of the (d, c) family graph."""
+    _check_branch_degree(d, c)
     if d % 2:
         if c in (1, d - 1):
             return f0_poly(d)
@@ -113,21 +124,15 @@ def _blocks(d: int, c: int, composition=None) -> list[Graph]:
     the graph has a bridge.  ``composition`` lists the cycle lengths of the
     cycle complement: it sums to the odd branch degree of at least 3, and is
     empty when there is none (even d, or c in {1, d-1}); None selects the
-    single cycle.  Even d needs even c, since a branch B has even degree
-    sum d|B| - k.
+    single cycle.
     """
-    if d < 3:
-        raise ValueError("degree must be at least 3")
-    if not 1 <= c <= d - 1:
-        raise ValueError("branch degree must satisfy 1 <= c <= d-1")
+    _check_branch_degree(d, c)
     total = _cycle_branch(d, c)
     if composition is None:
         composition = (total,) if total else ()
     composition = tuple(composition)
     if any(k < 3 for k in composition):
         raise ValueError("cycle lengths must be at least 3")
-    if d % 2 == 0 and c % 2:
-        raise ValueError("c must be even for even d")
     if sum(composition) != total:
         if not total:
             raise ValueError("a construction without a cycle block takes no cycle composition")
@@ -194,13 +199,11 @@ class ThresholdResult:
 
 
 def _branch_range(d: int) -> range:
-    """Admissible branch degrees up to d/2: 2, 4, ..., 2*floor(d/4) for even d
-    and 1, 2, ..., (d-1)/2 for odd d."""
-    if d < 3:
-        raise ValueError("degree must be at least 3")
-    if d % 2 == 0:
-        return range(2, 2 * (d // 4) + 1, 2)
-    return range(1, (d - 1) // 2 + 1)
+    """Admissible branch degrees up to d/2: 1, 2, ..., (d-1)/2 for odd d and
+    2, 4, ..., 2*floor(d/4) for even d."""
+    step = 2 - d % 2  # the least admissible c, for every d >= 3
+    _check_branch_degree(d, step)
+    return range(step, d // 2 + 1, step)
 
 
 def optimal_branch(d: int) -> int:
@@ -227,14 +230,6 @@ def monotonicity_chain(d: int) -> list[tuple[int, float]]:
 
 # ---------------------------------------------------------------------------
 # the five-set quotient around a cut vertex
-
-
-def _check_branch_degree(d: int, c: int) -> None:
-    """Raise unless some d-regular graph can have a cut vertex of branch degree c."""
-    if not 1 <= c <= d - 1:
-        raise ValueError("need 1 <= c <= d-1")
-    if d % 2 == 0 and c % 2:
-        raise ValueError("c must be even for even d")
 
 
 def _five_set_quotient(d: int, c: int, a, b, e, f) -> np.ndarray:
@@ -295,11 +290,14 @@ def cut_partition_quotient(d: int, c: int, p: int, q: int, r: int, t: int) -> np
 def saturated_cut_reduction(d: int, c: int, p: int, q: int) -> np.ndarray:
     """Deflated cut-partition quotient at saturated cross edges (r=cp, t=(d-c)q).
 
-    At p = d+1-c, q = c+1 it is the reduction of the even-degree
-    construction quotient.
+    Each outer vertex is then adjacent to all c (on the q side, d-c)
+    neighbours of the cut vertex, and each neighbour has at most d-1 edges
+    into its outer block, so the admissible orders are d+1-c <= p <= d-1 and
+    c+1 <= q <= d-1; :func:`cut_partition_quotient` rejects all others.  At
+    p = d+1-c, q = c+1 it is the reduction of the even-degree construction
+    quotient.
     """
-    _check_branch_degree(d, c)
-    return tridiagonal_reduce(_five_set_quotient(d, c, c, p, q, d - c), d)
+    return tridiagonal_reduce(cut_partition_quotient(d, c, p, q, c * p, (d - c) * q), d)
 
 
 SWEEP_TOL = 1e-9
@@ -339,15 +337,14 @@ def cut_parameter_sweep(d: int, c: int) -> SweepReport:
     The top eigenvalue of the deflated cut-partition quotient must strictly
     decrease as either cross-edge count (r, t) grows, and the saturated
     reduction's top eigenvalue must strictly increase with either outer block
-    order (p, q).  Even d needs even c, as in :func:`build_extremal`.  For odd
-    d the branch degree is normalized to its odd form first (the even form is
-    the mirror image).  Each grid point is solved once; violations list the
-    r- and t-runs of each (p, q), then the p-runs, then the q-runs.
+    order (p, q).  (d, c) must pass :func:`_check_branch_degree`; for odd d,
+    c is normalized to its odd form (the even one is the mirror image).  p
+    and q span the admissible saturated orders, d+1-c <= p <= d-1 (from
+    d+2-c for odd d) and c+1 <= q <= d-1.  Each grid point is solved once;
+    violations list the r- and t-runs of each (p, q), then the p-runs, then
+    the q-runs.
     """
-    if d < 3 or not 1 <= c <= d - 1:
-        raise ValueError("invalid (d, c)")
-    if d % 2 == 0 and c % 2:
-        raise ValueError("c must be even for even d")
+    _check_branch_degree(d, c)
     if d % 2 and c % 2 == 0 and c not in (1, d - 1):
         c = d - c
     p_lo = d + 2 - c if d % 2 else d + 1 - c

@@ -301,6 +301,27 @@ class TestQuotients:
             cut_partition_quotient(4, 2, 3, 3, 7, 6)  # r > cp
         cut_partition_quotient(4, 2, 3, 3, 6, 6)
 
+    def test_saturated_reduction_is_cut_partition_reduction(self):
+        # saturated_cut_reduction accepts exactly the block orders the
+        # saturated cut partition admits, d+1-c <= p <= d-1 and c+1 <= q <= d-1
+        accepted = 0
+        for d in range(3, 13):
+            for c in range(1, d):
+                for p in range(d + 3):
+                    for q in range(d + 3):
+                        try:
+                            want = cut_partition_quotient(d, c, p, q, c * p, (d - c) * q)
+                        except ValueError as e:
+                            with pytest.raises(ValueError) as info:
+                                saturated_cut_reduction(d, c, p, q)
+                            assert info.value.args == e.args, (d, c, p, q)
+                            continue
+                        got = saturated_cut_reduction(d, c, p, q)
+                        assert np.array_equal(got, tridiagonal_reduce(want, d)), (d, c, p, q)
+                        assert d + 1 - c <= p <= d - 1 and c + 1 <= q <= d - 1
+                        accepted += 1
+        assert accepted == 355
+
 
 class TestThresholds:
     def test_values(self):
@@ -400,11 +421,11 @@ class TestSweeps:
         lo_r = top_after_reduce(6, 2, 5, 3, 8, 9)
         assert lo_r > hi_r
         # larger outer block order p raises the top eigenvalue of the
-        # saturated reduction
+        # saturated reduction (a p-run the (8, 4) sweep checks)
         from eigencut.spectra import tridiagonal_eigenvalues as te
 
-        low_p = te(saturated_cut_reduction(5, 3, 4, 4))[0]
-        high_p = te(saturated_cut_reduction(5, 3, 5, 4))[0]
+        low_p = te(saturated_cut_reduction(8, 4, 5, 5))[0]
+        high_p = te(saturated_cut_reduction(8, 4, 6, 5))[0]
         assert high_p > low_p
 
     def test_degenerate_grid_passes(self):
@@ -479,12 +500,16 @@ class TestExtremalFamily:
         (lambda: cut_partition_quotient(4, 0, 5, 5, 2, 1), "need 1 <= c <= d-1"),
         (lambda: cut_partition_quotient(4, 2, 5, 5, 2, 0), "t out of range"),
         (lambda: saturated_cut_reduction(4, 0, 3, 3), "need 1 <= c <= d-1"),
-        (lambda: cut_parameter_sweep(2, 1), "invalid (d, c)"),
+        (lambda: cut_parameter_sweep(2, 1), "degree must be at least 3"),
         # no 4- or 6-regular graph has an odd branch degree
         (lambda: cut_parameter_sweep(4, 1), "c must be even for even d"),
         (lambda: cut_parameter_sweep(6, 3), "c must be even for even d"),
         (lambda: cut_partition_quotient(4, 1, 4, 2, 3, 3), "c must be even for even d"),
         (lambda: saturated_cut_reduction(4, 1, 4, 2), "c must be even for even d"),
+        # block orders no saturated cut partition has
+        (lambda: saturated_cut_reduction(3, 1, 0, 5), "p must be at least d+1-c"),
+        (lambda: saturated_cut_reduction(4, 2, 0, 0), "p must be at least d+1-c"),
+        (lambda: saturated_cut_reduction(5, 3, 5, 4), "r out of range"),  # p = d
     ],
     ids=[
         "polynomial-c0",
@@ -497,9 +522,41 @@ class TestExtremalFamily:
         "sweep-odd-c-even-d6",
         "branch-odd-c-even-d",
         "saturated-odd-c-even-d",
+        "saturated-p0-cubic",
+        "saturated-p0-quartic",
+        "saturated-p-is-d",
     ],
 )
 def test_error_paths(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert info.value.args == (message,)
+
+
+def test_one_branch_degree_rule():
+    # every (d, c) entry point rejects exactly as the one rule does, with its
+    # message
+    messages = set()
+    for d in range(13):
+        for c in range(-1, d + 2):
+            try:
+                extremal._check_branch_degree(d, c)
+            except ValueError as e:
+                rule = e.args
+            else:
+                continue
+            messages.add(rule)
+            for call in (
+                lambda: build_extremal(d, c),
+                lambda: lambda2_polynomial(d, c),
+                lambda: cut_parameter_sweep(d, c),
+                lambda: cut_partition_quotient(d, c, 0, 0, 0, 0),
+            ):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert info.value.args == rule, (d, c)
+    assert messages == {
+        ("degree must be at least 3",),
+        ("need 1 <= c <= d-1",),
+        ("c must be even for even d",),
+    }
