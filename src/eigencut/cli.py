@@ -182,7 +182,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # contract: diagnostics and exit codes, no tracebacks
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        message = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        sys.stderr.write(f"error: {message}\n")
         return 2
 
 

@@ -273,7 +273,9 @@ def cut_partition_quotient(d: int, c: int, p: int, q: int, r: int, t: int) -> np
 
     ``p``/``q`` are the orders of the two outer blocks (component minus the
     cut vertex's neighbours); ``r``/``t`` count edges from the outer blocks
-    into the neighbour sets.
+    into the neighbour sets.  For odd d both orders must be even: the branch
+    with outer block p has degree sum d(p + c) - c, which is even only for
+    even p, and likewise for q.
     """
     _check_branch_degree(d, c)
     if p < d + 1 - c:
@@ -284,6 +286,10 @@ def cut_partition_quotient(d: int, c: int, p: int, q: int, r: int, t: int) -> np
         raise ValueError("r out of range")
     if not 1 <= t <= min((d - c) * q, (d - c) * (d - 1)):
         raise ValueError("t out of range")
+    if d % 2 and p % 2:
+        raise ValueError("p must be even for odd d")
+    if d % 2 and q % 2:
+        raise ValueError("q must be even for odd d")
     return _five_set_quotient(d, c, r / p, r / c, t / (d - c), t / q)
 
 
@@ -293,7 +299,8 @@ def saturated_cut_reduction(d: int, c: int, p: int, q: int) -> np.ndarray:
     Each outer vertex is then adjacent to all c (on the q side, d-c)
     neighbours of the cut vertex, and each neighbour has at most d-1 edges
     into its outer block, so the admissible orders are d+1-c <= p <= d-1 and
-    c+1 <= q <= d-1; :func:`cut_partition_quotient` rejects all others.  At
+    c+1 <= q <= d-1, both even for odd d (degree-sum parity);
+    :func:`cut_partition_quotient` rejects all others.  At
     p = d+1-c, q = c+1 it is the reduction of the even-degree construction
     quotient.
     """
@@ -339,17 +346,18 @@ def cut_parameter_sweep(d: int, c: int) -> SweepReport:
     reduction's top eigenvalue must strictly increase with either outer block
     order (p, q).  (d, c) must pass :func:`_check_branch_degree`; for odd d,
     c is normalized to its odd form (the even one is the mirror image).  p
-    and q span the admissible saturated orders, d+1-c <= p <= d-1 (from
-    d+2-c for odd d) and c+1 <= q <= d-1.  Each grid point is solved once;
-    violations list the r- and t-runs of each (p, q), then the p-runs, then
-    the q-runs.
+    and q span the admissible saturated orders, d+1-c <= p <= d-1 and
+    c+1 <= q <= d-1, even for odd d, so there the p- and q-runs step by 2.
+    Each grid point is solved once; violations list the r- and t-runs of
+    each (p, q), then the p-runs, then the q-runs.
     """
     _check_branch_degree(d, c)
     if d % 2 and c % 2 == 0 and c not in (1, d - 1):
         c = d - c
-    p_lo = d + 2 - c if d % 2 else d + 1 - c
-    p_range = range(p_lo, d)
-    q_range = range(c + 1, d)
+    step = 1 + d % 2  # odd d: even block orders only
+    p_lo, q_lo = d + 1 - c, c + 1
+    p_range = range(p_lo + p_lo % step, d, step)
+    q_range = range(q_lo + q_lo % step, d, step)
     r_range = lambda p: range(c * (d - c), min(c * p, c * (d - 1)) + 1)
     t_range = lambda q: range((d - c) * c, min((d - c) * q, (d - c) * (d - 1)) + 1)
 

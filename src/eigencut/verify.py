@@ -158,19 +158,18 @@ def _side(value: float, bound: float) -> int:
 
 
 def _examine(
-    g: Graph, s: SpectralSummary, d: int, thr, family, judged: bool, counterexamples: list[str]
+    g: Graph, s: SpectralSummary, d: int, thr, family, counterexamples: list[str]
 ) -> VerificationRecord:
     """The record of ``g``, whose spectrum is ``s``; ``family(c)`` pairs each
     graph of ``extremal_family(d, c)`` with its eigenvalues.
 
     A cut-vertex graph is a counterexample, and its graph6 id is appended to
     ``counterexamples``, when lambda2 is below the threshold or below the
-    bound ``lambda2_value(d, c)`` of one of its witnesses (u, c), or, when
-    ``judged`` (exhaustive mode), when it meets a bound without being
-    isomorphic to a member of that bound's extremal family: an equality case
-    outside the threshold's family, or a witness (u, c) at its bound outside
-    ``extremal_family(d, c)``.  Random mode judges only the strict sides: a
-    sample at a bound is recorded, not judged.
+    bound ``lambda2_value(d, c)`` of one of its witnesses (u, c), or when it
+    meets a bound without being isomorphic to a member of that bound's
+    extremal family: an equality case outside the threshold's family, or a
+    witness (u, c) at its bound outside ``extremal_family(d, c)``.  Both
+    sweep modes apply this one rule.
     """
     witnesses = cut_branch_values(g, d)
     lam2 = s.lambda2
@@ -183,7 +182,7 @@ def _examine(
     branch = met <= members
     graph6 = to_graph6(g)
     if witnesses and (
-        side < 0 or -1 in branch_sides.values() or (judged and (not branch or (side == 0 and not iso)))
+        side < 0 or -1 in branch_sides.values() or not branch or (side == 0 and not iso)
     ):
         counterexamples.append(graph6)
     cmp = ("below", "equal", "above")[side + 1]
@@ -211,7 +210,7 @@ def verify_theorem(
 
     counterexamples = []
     records = [
-        _examine(g, s, d, thr, family, mode == "exhaustive", counterexamples)
+        _examine(g, s, d, thr, family, counterexamples)
         for g, s in _with_spectra(_generate(d, n_max, mode, samples, seed))
     ]
     # the CSV contract lists records in graph6-lexicographic order

@@ -8,7 +8,15 @@ import sys
 
 import pytest
 
-from eigencut import VerificationError, build_extremal, extremal, from_graph6, is_isomorphic, is_regular
+from eigencut import (
+    VerificationError,
+    build_extremal,
+    extremal,
+    from_graph6,
+    is_isomorphic,
+    is_regular,
+    to_graph6,
+)
 from eigencut.cli import main
 
 
@@ -419,6 +427,19 @@ class TestVerify:
         assert code == 0 and json.loads(out)["cut_vertex_graphs"] > 0
         assert err == ""
 
+    def test_random_sample_outside_branch_family_exits_1(self, capsys, monkeypatch):
+        # the (9, 2) family with its second member left out: a sample of that
+        # member meets the branch bound outside the family, as in exhaustive mode
+        family = extremal.extremal_family(9, 2)
+        monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter(family))
+        monkeypatch.setattr("eigencut.verify.extremal_family", lambda d, c: family[:1])
+        code, out, err = run_cli(
+            capsys, "verify", "--d", "9", "--n-max", "22", "--mode", "random", "--samples", "2", "--seed", "0"
+        )
+        report = json.loads(out)
+        assert code == 1 and err == ""
+        assert report["pass"] is False and report["counterexamples"] == [to_graph6(family[1])]
+
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise VerificationError("odd branch degree 1 at cut vertex 1")
@@ -427,6 +448,15 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--d", "3", "--n-max", "10")
         assert code == 1 and out == ""
         assert err == "verification failure: odd branch degree 1 at cut vertex 1\n"
+
+    def test_messageless_error_prints_its_type_alone(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("eigencut.verify.verify_theorem", failing)
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--n-max", "10")
+        assert code == 2 and out == ""
+        assert err == "error: MemoryError\n"
 
 
 class TestCompareBounds:

@@ -303,7 +303,8 @@ class TestQuotients:
 
     def test_saturated_reduction_is_cut_partition_reduction(self):
         # saturated_cut_reduction accepts exactly the block orders the
-        # saturated cut partition admits, d+1-c <= p <= d-1 and c+1 <= q <= d-1
+        # saturated cut partition admits, d+1-c <= p <= d-1 and c+1 <= q <= d-1,
+        # both even for odd d
         accepted = 0
         for d in range(3, 13):
             for c in range(1, d):
@@ -319,8 +320,9 @@ class TestQuotients:
                         got = saturated_cut_reduction(d, c, p, q)
                         assert np.array_equal(got, tridiagonal_reduce(want, d)), (d, c, p, q)
                         assert d + 1 - c <= p <= d - 1 and c + 1 <= q <= d - 1
+                        assert d % 2 == 0 or p % 2 == q % 2 == 0
                         accepted += 1
-        assert accepted == 355
+        assert accepted == 225
 
 
 class TestThresholds:
@@ -405,7 +407,7 @@ class TestMonotonicity:
 
 class TestSweeps:
     def test_fact_sweep_examples(self):
-        for (d, c), comparisons in {(5, 2): 32, (6, 2): 128, (7, 3): 332, (8, 4): 1308}.items():
+        for (d, c), comparisons in {(5, 2): 32, (6, 2): 128, (7, 3): 221, (8, 4): 1308}.items():
             rep = cut_parameter_sweep(d, c)
             assert rep.passed and rep.comparisons == comparisons, (d, c)
 
@@ -510,6 +512,9 @@ class TestExtremalFamily:
         (lambda: saturated_cut_reduction(3, 1, 0, 5), "p must be at least d+1-c"),
         (lambda: saturated_cut_reduction(4, 2, 0, 0), "p must be at least d+1-c"),
         (lambda: saturated_cut_reduction(5, 3, 5, 4), "r out of range"),  # p = d
+        # odd degree sums: d(p + c) - c = 27 and d(q + d - c) - (d - c) = 59
+        (lambda: saturated_cut_reduction(5, 3, 3, 4), "p must be even for odd d"),
+        (lambda: cut_partition_quotient(7, 3, 6, 5, 18, 20), "q must be even for odd d"),
     ],
     ids=[
         "polynomial-c0",
@@ -525,6 +530,8 @@ class TestExtremalFamily:
         "saturated-p0-cubic",
         "saturated-p0-quartic",
         "saturated-p-is-d",
+        "saturated-odd-p-odd-d",
+        "branch-odd-q-odd-d",
     ],
 )
 def test_error_paths(call, message):

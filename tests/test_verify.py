@@ -23,6 +23,7 @@ from eigencut import (
     edge_expansion,
     enumerate_connected_regular,
     graph_from_edges,
+    lambda2_value,
     prior_bounds,
     records_to_csv,
     spectrum,
@@ -100,8 +101,6 @@ class TestTheoremSweep:
                 assert c == 1  # cubic cut vertices always leave a bridge side
 
     def test_lemma_equality_recorded(self):
-        from eigencut import lambda2_value
-
         _, records = verify_theorem(4, 11)
         equalities = [
             (rec.graph6, c)
@@ -215,14 +214,42 @@ class TestTheoremSweep:
         assert all(rec.threshold_cmp == "above" and rec.branch_extremal for rec in records)
 
         # a graph at its branch bound that is no family member is a counterexample,
-        # judged in exhaustive mode only
+        # in either mode
         monkeypatch.setattr("eigencut.verify.extremal_family", lambda d, c: family[:1])
         report, records = verify_theorem(9, 22)
         other = build_extremal(9, 2, (4, 3))
         assert report.counterexamples == (to_graph6(other),)
         report, records = verify_theorem(9, 22, mode="random", samples=2, seed=0)
-        assert report.passed
+        assert not report.passed and report.counterexamples == (to_graph6(other),)
         assert [rec.branch_extremal for rec in records if rec.graph6 == to_graph6(other)] == [False]
+
+    @pytest.mark.parametrize(
+        "case", ["below-threshold", "equality-in-family", "branch-bound-outside-family", "above-every-bound"]
+    )
+    def test_one_rule_in_both_modes(self, monkeypatch, case):
+        # the same graph gets the same verdict whether enumerated or sampled
+        from eigencut import extremal
+
+        d, g, cmp = 3, build_extremal(3, 1), "equal"
+        if case == "below-threshold":
+            thr = dataclasses.replace(threshold(3), value=spectrum(g).lambda2 + 2 * EIG_TOL)
+            monkeypatch.setattr("eigencut.verify.threshold", lambda d: thr)
+            cmp = "below"
+        elif case == "branch-bound-outside-family":
+            # at its c = 2 bound, with the family cut to the other member
+            d, (first, g), cmp = 9, extremal.extremal_family(9, 2), "above"
+            monkeypatch.setattr("eigencut.verify.extremal_family", lambda d, c: (first,))
+        elif case == "above-every-bound":
+            g = next(h for h in enumerate_connected_regular(12, 3) if cut_branch_values(h, 3))
+            assert spectrum(g).lambda2 > lambda2_value(3, 1) + EIG_TOL
+            cmp = "above"
+        fails = case in ("below-threshold", "branch-bound-outside-family")
+        monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter([g]))
+        exhaustive, (rec,) = verify_theorem(d, g.n)
+        sampled, (sample,) = verify_theorem(d, g.n, mode="random", samples=1, seed=0)
+        assert rec == sample and rec.threshold_cmp == cmp
+        assert exhaustive.counterexamples == sampled.counterexamples == ((to_graph6(g),) if fails else ())
+        assert exhaustive.passed is sampled.passed is (not fails)
 
     def test_interleaved_orders_match_one_graph_sweeps(self, monkeypatch):
         # runs of one order are stacked; a later run of an earlier order starts a new stack
@@ -350,7 +377,7 @@ class TestTheoremSweep:
     def test_random_quintic_large_sample(self):
         report, records = verify_theorem(5, 24, mode="random", samples=200, seed=42)
         assert report.passed and report.graphs_checked == 200
-        # strict side only: every sampled cut-vertex graph clears the bound
+        # every sampled cut-vertex graph clears the threshold
         for rec in records:
             if rec.witnesses:
                 assert rec.lambda2 >= threshold(5).value - 1e-8
