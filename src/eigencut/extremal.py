@@ -273,18 +273,20 @@ def cut_partition_quotient(d: int, c: int, p: int, q: int, r: int, t: int) -> np
 
     ``p``/``q`` are the orders of the two outer blocks (component minus the
     cut vertex's neighbours); ``r``/``t`` count edges from the outer blocks
-    into the neighbour sets.  For odd d both orders must be even: the branch
-    with outer block p has degree sum d(p + c) - c, which is even only for
-    even p, and likewise for q.
+    into the neighbour sets.  Each of the c neighbours on the p side has d-1
+    edges besides the cut vertex and at most c-1 of them to other
+    neighbours, so c(d-c) <= r <= c(d-1), and likewise (d-c)c <= t.  For odd
+    d both orders must be even: the branch with outer block p has degree sum
+    d(p + c) - c, which is even only for even p, and likewise for q.
     """
     _check_branch_degree(d, c)
     if p < d + 1 - c:
         raise ValueError("p must be at least d+1-c")
     if q < c + 1:
         raise ValueError("q must be at least c+1")
-    if not 1 <= r <= min(c * p, c * (d - 1)):
+    if not c * (d - c) <= r <= min(c * p, c * (d - 1)):
         raise ValueError("r out of range")
-    if not 1 <= t <= min((d - c) * q, (d - c) * (d - 1)):
+    if not (d - c) * c <= t <= min((d - c) * q, (d - c) * (d - 1)):
         raise ValueError("t out of range")
     if d % 2 and p % 2:
         raise ValueError("p must be even for odd d")
@@ -349,7 +351,9 @@ def cut_parameter_sweep(d: int, c: int) -> SweepReport:
     and q span the admissible saturated orders, d+1-c <= p <= d-1 and
     c+1 <= q <= d-1, even for odd d, so there the p- and q-runs step by 2.
     Each grid point is solved once; violations list the r- and t-runs of
-    each (p, q), then the p-runs, then the q-runs.
+    each (p, q), then the p-runs, then the q-runs.  r and t step by 1,
+    although every cut partition has even r = c(d-1) - 2e(N) (c(d-1) is
+    even) and even t, so half the grid is no graph's partition.
     """
     _check_branch_degree(d, c)
     if d % 2 and c % 2 == 0 and c not in (1, d - 1):

@@ -4,17 +4,17 @@ cut-vertex eigenvalue thresholds, expansion bounds, and prior bounds.
 The central check, one sweep: every connected d-regular graph with a cut
 vertex clears the degree-d threshold and the bound ``lambda2_value(d, c)`` of
 each of its normalized branch degrees c, and meets a bound only as a member
-of that bound's extremal family; ``_examine`` states the rule and decides
-each graph's verdict.  The threshold's family is the one graph
-``threshold(d).extremal_graph`` for d <= 12 and every even d, and one graph
-per cycle composition for odd d >= 13 (2 graphs at d = 13).  A family is
-built when a graph first meets its bound, and only the members whose
-spectrum matches the graph's are tested for isomorphism.  Exhaustive mode
-walks every isomorphism class up to a given order; random mode samples the
-pairing model (``samples`` graphs from ``seed``, options that exhaustive
-mode rejects: the order of every sample is drawn first, then each order's
-graphs in turn).  Spectra come from one stacked eigensolve per chunk of a
-run of graphs of one order.
+of that bound's extremal family; ``_examine`` states the rule and puts each
+graph's verdict in its record, and the report is read off the records.  The
+threshold's family is the one graph ``threshold(d).extremal_graph`` for
+d <= 12 and every even d, and one graph per cycle composition for odd
+d >= 13 (2 graphs at d = 13).  A family is built when a graph first meets
+its bound, and only the members whose spectrum matches the graph's are
+tested for isomorphism.  Exhaustive mode walks every isomorphism class up to
+a given order; random mode samples the pairing model (``samples`` graphs
+from ``seed``, options that exhaustive mode rejects: the order of every
+sample is drawn first, then each order's graphs in turn).  Spectra come from
+one stacked eigensolve per chunk of a run of graphs of one order.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class VerificationError(Exception):
 # slots: a sweep holds every record until it sorts them
 @dataclass(frozen=True, slots=True)
 class VerificationRecord:
-    """Per-graph outcome of a threshold sweep."""
+    """Per-graph outcome of a threshold sweep, verdict included."""
 
     graph6: str
     n: int
@@ -69,8 +69,7 @@ class VerificationRecord:
     lambda2: float
     threshold_cmp: str  # below / equal / above
     iso_extremal: bool  # an equality case isomorphic to a member of the threshold's family
-    # every witness (u, c) whose bound lambda2 meets is a member of c's family
-    branch_extremal: bool
+    counterexample: bool  # the verdict of ``_examine``
 
 
 @dataclass(frozen=True)
@@ -157,19 +156,16 @@ def _side(value: float, bound: float) -> int:
     return (value > bound + EIG_TOL) - (value < bound - EIG_TOL)
 
 
-def _examine(
-    g: Graph, s: SpectralSummary, d: int, thr, family, counterexamples: list[str]
-) -> VerificationRecord:
+def _examine(g: Graph, s: SpectralSummary, d: int, thr, family) -> VerificationRecord:
     """The record of ``g``, whose spectrum is ``s``; ``family(c)`` pairs each
     graph of ``extremal_family(d, c)`` with its eigenvalues.
 
-    A cut-vertex graph is a counterexample, and its graph6 id is appended to
-    ``counterexamples``, when lambda2 is below the threshold or below the
-    bound ``lambda2_value(d, c)`` of one of its witnesses (u, c), or when it
-    meets a bound without being isomorphic to a member of that bound's
-    extremal family: an equality case outside the threshold's family, or a
-    witness (u, c) at its bound outside ``extremal_family(d, c)``.  Both
-    sweep modes apply this one rule.
+    A cut-vertex graph is a counterexample, and its record says so, when
+    lambda2 is below the threshold or below the bound ``lambda2_value(d, c)``
+    of one of its witnesses (u, c), or when it meets a bound without being
+    isomorphic to a member of that bound's extremal family: an equality case
+    outside the threshold's family, or a witness (u, c) at its bound outside
+    ``extremal_family(d, c)``.  Both sweep modes apply this one rule.
     """
     witnesses = cut_branch_values(g, d)
     lam2 = s.lambda2
@@ -179,14 +175,11 @@ def _examine(
     tested = met | {thr.c_star} if side == 0 else met
     members = {c for c in tested if _in_family(g, s.eigenvalues, family(c))}
     iso = side == 0 and thr.c_star in members
-    branch = met <= members
-    graph6 = to_graph6(g)
-    if witnesses and (
-        side < 0 or -1 in branch_sides.values() or not branch or (side == 0 and not iso)
-    ):
-        counterexamples.append(graph6)
+    counterexample = bool(witnesses) and (
+        min(side, *branch_sides.values()) < 0 or not tested <= members
+    )
     cmp = ("below", "equal", "above")[side + 1]
-    return VerificationRecord(graph6, g.n, d, witnesses, lam2, cmp, iso, branch)
+    return VerificationRecord(to_graph6(g), g.n, d, witnesses, lam2, cmp, iso, counterexample)
 
 
 def verify_theorem(
@@ -198,9 +191,10 @@ def verify_theorem(
 ) -> tuple[TheoremReport, list[VerificationRecord]]:
     """Sweep generated graphs against the sharp threshold and the branch bounds.
 
-    ``_examine`` decides which graphs are counterexamples; each graph is
-    listed at most once.  ``samples`` and ``seed`` drive random mode and are
-    rejected in exhaustive mode.
+    ``_examine`` gives each record its verdict; the report reads ``passed``
+    and ``counterexamples`` off the graph6-sorted records, so a graph is
+    listed once per record.  ``samples`` and ``seed`` drive random mode and
+    are rejected in exhaustive mode.
     """
     thr = threshold(d)
 
@@ -208,21 +202,21 @@ def verify_theorem(
     def family(c):
         return tuple((h, spectrum(h).eigenvalues) for h in extremal_family(d, c))
 
-    counterexamples = []
     records = [
-        _examine(g, s, d, thr, family, counterexamples)
+        _examine(g, s, d, thr, family)
         for g, s in _with_spectra(_generate(d, n_max, mode, samples, seed))
     ]
     # the CSV contract lists records in graph6-lexicographic order
     records.sort(key=lambda r: r.graph6)
     cut_records = [r for r in records if r.witnesses]
+    counterexamples = tuple(r.graph6 for r in records if r.counterexample)
     report = TheoremReport(
         d=d,
         n_max=n_max,
         mode=mode,
         passed=not counterexamples,
         equality_cases=tuple(r.graph6 for r in cut_records if r.threshold_cmp == "equal"),
-        counterexamples=tuple(sorted(counterexamples)),
+        counterexamples=counterexamples,
         graphs_checked=len(records),
         cut_vertex_graphs=len(cut_records),
     )

@@ -324,6 +324,31 @@ class TestQuotients:
                         accepted += 1
         assert accepted == 225
 
+    def test_every_real_cut_partition_is_admitted(self):
+        # at each cut vertex u and each component B of G - u, read c, p, r off
+        # B (N = B & N(u), P = B - N, r = e(N, P)) and d-c, q, t off the rest
+        # of G - u: the quotient must admit them, and r and t are even
+        def block(g, u, vertices):
+            nbrs = vertices & g.rows[u]
+            outer = vertices & ~nbrs
+            r = sum((g.rows[v] & outer).bit_count() for v in range(g.n) if nbrs >> v & 1)
+            return nbrs.bit_count(), outer.bit_count(), r
+
+        graphs = [build_extremal(d, c) for d, c in valid_pairs(12)]
+        graphs += [g for n in range(4, 15, 2) for g in enumerate_connected_regular(n, 3)]
+        splits = 0
+        for g in graphs:
+            d = is_regular(g)
+            for w in articulation_points(g):
+                rest = ((1 << g.n) - 1) ^ (1 << w.u)
+                for comp in w.components:
+                    side = sum(1 << v for v in comp)
+                    (c, p, r), (c2, q, t) = block(g, w.u, side), block(g, w.u, rest ^ side)
+                    assert c2 == d - c and r % 2 == t % 2 == 0, (to_graph6(g), w.u, comp)
+                    cut_partition_quotient(d, c, p, q, r, t)
+                    splits += 1
+        assert splits == 250
+
 
 class TestThresholds:
     def test_values(self):
@@ -500,7 +525,10 @@ class TestExtremalFamily:
         (lambda: lambda2_polynomial(3, 0), "need 1 <= c <= d-1"),
         (lambda: build_extremal(9, 2, (2, 5)), "cycle lengths must be at least 3"),
         (lambda: cut_partition_quotient(4, 0, 5, 5, 2, 1), "need 1 <= c <= d-1"),
-        (lambda: cut_partition_quotient(4, 2, 5, 5, 2, 0), "t out of range"),
+        (lambda: cut_partition_quotient(4, 2, 5, 5, 4, 0), "t out of range"),
+        # cross-edge counts below the floors c(d-c) and (d-c)c
+        (lambda: cut_partition_quotient(4, 2, 3, 3, 1, 1), "r out of range"),
+        (lambda: cut_partition_quotient(4, 2, 3, 3, 6, 3), "t out of range"),
         (lambda: saturated_cut_reduction(4, 0, 3, 3), "need 1 <= c <= d-1"),
         (lambda: cut_parameter_sweep(2, 1), "degree must be at least 3"),
         # no 4- or 6-regular graph has an odd branch degree
@@ -521,6 +549,8 @@ class TestExtremalFamily:
         "short-cycle",
         "branch-c0",
         "branch-t0",
+        "branch-r-below-floor",
+        "branch-t-below-floor",
         "saturated-c0",
         "sweep-d2",
         "sweep-odd-c-even-d",

@@ -211,7 +211,7 @@ class TestTheoremSweep:
         monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter(family))
         report, records = verify_theorem(9, 22)
         assert report.passed and report.cut_vertex_graphs == 2 and not report.equality_cases
-        assert all(rec.threshold_cmp == "above" and rec.branch_extremal for rec in records)
+        assert all(rec.threshold_cmp == "above" and not rec.counterexample for rec in records)
 
         # a graph at its branch bound that is no family member is a counterexample,
         # in either mode
@@ -221,7 +221,7 @@ class TestTheoremSweep:
         assert report.counterexamples == (to_graph6(other),)
         report, records = verify_theorem(9, 22, mode="random", samples=2, seed=0)
         assert not report.passed and report.counterexamples == (to_graph6(other),)
-        assert [rec.branch_extremal for rec in records if rec.graph6 == to_graph6(other)] == [False]
+        assert [rec.counterexample for rec in records if rec.graph6 == to_graph6(other)] == [True]
 
     @pytest.mark.parametrize(
         "case", ["below-threshold", "equality-in-family", "branch-bound-outside-family", "above-every-bound"]
@@ -248,8 +248,20 @@ class TestTheoremSweep:
         exhaustive, (rec,) = verify_theorem(d, g.n)
         sampled, (sample,) = verify_theorem(d, g.n, mode="random", samples=1, seed=0)
         assert rec == sample and rec.threshold_cmp == cmp
+        assert rec.counterexample is sample.counterexample is fails
         assert exhaustive.counterexamples == sampled.counterexamples == ((to_graph6(g),) if fails else ())
         assert exhaustive.passed is sampled.passed is (not fails)
+
+    def test_counterexamples_listed_once_per_record(self, monkeypatch):
+        # random mode can sample one labelled graph twice; the report lists it
+        # once for each of its records
+        g = build_extremal(3, 1)
+        thr = dataclasses.replace(threshold(3), value=spectrum(g).lambda2 + 2 * EIG_TOL)
+        monkeypatch.setattr("eigencut.verify.threshold", lambda d: thr)
+        monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter([g, g]))
+        report, records = verify_theorem(3, g.n)
+        assert not report.passed and report.counterexamples == (to_graph6(g),) * 2
+        assert [rec.counterexample for rec in records] == [True, True]
 
     def test_interleaved_orders_match_one_graph_sweeps(self, monkeypatch):
         # runs of one order are stacked; a later run of an earlier order starts a new stack
@@ -346,7 +358,8 @@ class TestTheoremSweep:
         monkeypatch.setattr("eigencut.verify._generate", lambda *args: iter([g]))
         monkeypatch.setattr("eigencut.verify.lambda2_value", lambda d, c: bound)
         report, (rec,) = verify_theorem(3, 10)
-        assert rec.threshold_cmp == "equal" and rec.iso_extremal and rec.branch_extremal
+        assert rec.threshold_cmp == "equal" and rec.iso_extremal
+        assert rec.counterexample == (offset > 1)
         assert report.counterexamples == (() if offset < 1 else (to_graph6(g),))
 
     @pytest.mark.parametrize("offset, cmp", [(-2, "above"), (-0.5, "equal"), (0.5, "equal"), (2, "below")])
